@@ -26,10 +26,12 @@ from .manifold import (
 )
 from .minkowski import boost, inner
 
-# Rapidity window for the finite-witness search; beyond |psi| ~ 60 the cone
-# equation saturates at double precision.
+# Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
+# saturates at double precision.
 _PSI_MAX = 60.0
-_BISECT_ITERS = 200
+# Upper bound on the doubling steps of the witness nudge; the step reaches
+# the width of the whole window [-_PSI_MAX, _PSI_MAX] well before this.
+_NUDGE_CAP = 64
 
 
 class Region(Enum):
@@ -151,10 +153,10 @@ def _canonical_frame(p: Event):
     return canonicalize(line).inverse()
 
 
-def _past_margin(q_canonical: np.ndarray, r: float) -> float:
-    # In the canonical frame the closed causal past of the throat event is
-    # {x_1 >= R, t <= 0}; the margin is the worse of the two residuals.
-    return min(float(q_canonical[0]) - r, -float(q_canonical[-1]))
+def _past_margin(x1, t, r: float):
+    """Margin of canonical (x_1, t), floats or arrays, against the causal past
+    {x_1 >= R, t <= 0} of the throat event: the worse of the two residuals."""
+    return np.minimum(x1 - r, -t)
 
 
 def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
@@ -166,15 +168,14 @@ def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
     """
     ctx = p.context
     qc = _canonical_frame(p).apply(q.point)
-    return _verdict(_past_margin(qc, ctx.radius), _band(ctx))
+    return _verdict(float(_past_margin(qc[0], qc[-1], ctx.radius)), _band(ctx))
 
 
 def causal_future_of_event(q: Event, p: Event) -> CausalVerdict:
     """Is q in the causal future of p? Mirror of causal_past_of_event."""
     ctx = p.context
     qc = _canonical_frame(p).apply(q.point)
-    margin = min(float(qc[0]) - ctx.radius, float(qc[-1]))
-    return _verdict(margin, _band(ctx))
+    return _verdict(float(_past_margin(qc[0], -qc[-1], ctx.radius)), _band(ctx))
 
 
 def chord_oracle(p: Event, q: Event) -> CausalVerdict:
@@ -266,7 +267,7 @@ def nesting_check(
     pts = sample_causal_past_canonical(ctx, samples, rng)
     pts = pts @ boost(psi1, ctx.n).matrix.T
     qc = pts @ boost(-psi2, ctx.n).matrix.T
-    margins = np.minimum(qc[:, 0] - ctx.radius, -qc[:, -1])
+    margins = _past_margin(qc[:, 0], qc[:, -1], ctx.radius)
     band = _band(ctx)
     violations = int(np.sum(margins < -band))
     return SamplingReport(
@@ -367,24 +368,36 @@ def throat_intersection(
 def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     """Finite rapidity psi with q inside the causal past of L(psi).
 
-    Membership is monotone in psi, so a bisection over [-PSI_MAX, PSI_MAX]
-    finds (approximately) the smallest admitting rapidity. Raises if q is not
-    an observed event of the eternal observer.
+    Returns (approximately) the smallest admitting rapidity, in closed form.
+    boost(-psi) scales u = x_1 - t by z = e^psi and v = x_1 + t by 1/z, so both
+    residuals are >= 0 once u z^2 - 2 R z + v >= 0, past its larger root:
+        psi* = log((R + sqrt(R^2 - (x_1^2 - t^2))) / (x_1 - t)).
+    Rounding can leave the margin at psi* at or below zero, so psi steps up by
+    ulp * 2^k (k = 0, 1, ...) until it is positive. Raises if q is not an
+    observed event of the eternal observer.
     """
+    r = ctx.radius
+    x1, t = float(q.point[0]), float(q.point[-1])
 
     def margin(psi: float) -> float:
-        qc = boost(-psi, ctx.n).apply(q.point)
-        return _past_margin(qc, ctx.radius)
+        # The x_1 and t rows of boost(-psi) applied to q.
+        c, s = math.cosh(psi), math.sinh(psi)
+        return _past_margin(c * x1 - s * t, c * t - s * x1, r)
 
     if margin(_PSI_MAX) <= 0.0:
         raise ValueError("event is not inside the observed region J^-(L)")
     if margin(-_PSI_MAX) > 0.0:
         return -_PSI_MAX
-    lo, hi = -_PSI_MAX, _PSI_MAX
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # margin(_PSI_MAX) > 0 forces x_1 - t > 0, so the logarithm is finite.
+    u = x1 - t
+    disc = max(r * r - u * (x1 + t), 0.0)
+    start = max(math.log((r + math.sqrt(disc)) / u), -_PSI_MAX)
+    step = math.ulp(max(abs(start), 1.0))
+    psi = start
+    for k in range(_NUDGE_CAP):
+        if psi >= _PSI_MAX:
+            break
+        if margin(psi) > 0.0:
+            return psi
+        psi = start + step * 2.0**k
+    return _PSI_MAX

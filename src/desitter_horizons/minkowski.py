@@ -14,7 +14,9 @@ from enum import Enum
 import numpy as np
 
 # Absolute threshold for sign decisions on form values, scaled by the
-# Euclidean magnitudes of the operands (robust near the null cone).
+# Euclidean magnitudes of the operands (robust near the null cone). It does
+# not decide Zero: only the exact zero vector is Zero, the one choice that
+# every isometry preserves, so tiny nonzero vectors fall in the Null band.
 EPS = 1e-9
 
 
@@ -66,7 +68,7 @@ def sign_scale(u, v) -> float:
 def classify(v) -> CausalClass:
     """Trichotomy of a vector under the form, with a Zero case."""
     v = _as_vector(v)
-    if float(np.linalg.norm(v)) <= EPS:
+    if not v.any():
         return CausalClass.ZERO
     q = inner(v, v)
     if abs(q) <= EPS * sign_scale(v, v):

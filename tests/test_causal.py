@@ -288,6 +288,92 @@ class TestUnionProperty:
             union_witness(CTX, event(CTX, -1, 0, 0))
 
 
+def _witness_margin(ctx, q_pt, psi):
+    """Past margin of boost(-psi) q against the throat event's cone."""
+    x1, t = float(q_pt[0]), float(q_pt[-1])
+    c, s = math.cosh(psi), math.sinh(psi)
+    return min(c * x1 - s * t - ctx.radius, -(c * t - s * x1))
+
+
+def _bisect_witness(ctx, q_pt):
+    """Reference: 200-step bisection for the smallest admitting rapidity."""
+    lo, hi = -60.0, 60.0
+    if _witness_margin(ctx, q_pt, hi) <= 0.0:
+        return None
+    if _witness_margin(ctx, q_pt, lo) > 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _witness_margin(ctx, q_pt, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _observed_events(t_spans, count=200):
+    for n in (2, 3, 6):
+        for r in (1e-3, 1.0, 1e3):
+            ctx = SpacetimeContext(radius=r, n=n)
+            for t_span in t_spans:
+                rng = np.random.default_rng([n, int(t_span), 51])
+                for p in sample_hyperboloid(ctx, count, rng, t_span=t_span):
+                    if p[0] - p[-1] > 0.0:
+                        yield ctx, p
+
+
+def _check_against_reference(ctx, p):
+    """Witness of p against the reference; returns it, or None if both raise."""
+    ref = _bisect_witness(ctx, p)
+    if ref is None:
+        with pytest.raises(ValueError):
+            union_witness(ctx, Event(point=p, context=ctx))
+        return None
+    psi = union_witness(ctx, Event(point=p, context=ctx))
+    assert abs(psi - ref) <= 1e-9
+    assert _witness_margin(ctx, p, psi) > 0.0
+    return psi
+
+
+class TestUnionWitnessClosedForm:
+    def test_matches_bisection_over_grid(self):
+        checked = 0
+        for ctx, p in _observed_events((2.0, 1e2, 3e2)):
+            checked += _check_against_reference(ctx, p) is not None
+        assert checked > 2000
+
+    def test_long_nudges_at_large_t(self):
+        # Near either horizon at |t| ~ 1e3 R, rounding leaves the closed form
+        # thousands of ulps below the first rapidity whose margin is positive.
+        long_nudges = 0
+        for ctx, p in _observed_events((1e3,), count=3000):
+            r, x1, t = ctx.radius, float(p[0]), float(p[-1])
+            try:
+                psi = union_witness(ctx, Event(point=p, context=ctx))
+            except ValueError:
+                continue
+            u = x1 - t
+            closed = math.log((r + math.sqrt(max(r * r - u * (x1 + t), 0.0))) / u)
+            if psi - closed > 1000 * math.ulp(max(abs(closed), 1.0)):
+                long_nudges += 1
+                assert psi < 60.0
+                assert _check_against_reference(ctx, p) == psi
+        assert long_nudges >= 5
+
+    def test_unobserved_and_horizon_events_rejected(self):
+        for n in (2, 3, 6):
+            for r in (1e-3, 1.0, 1e3):
+                ctx = SpacetimeContext(radius=r, n=n)
+                rng = np.random.default_rng([n, 53])
+                pts = sample_hyperboloid(ctx, 100, rng, t_span=1e2)
+                unobserved = pts[pts[:, 0] - pts[:, -1] < 0.0]
+                on_horizon = sample_horizon(ctx, 50, rng, t_span=1e2)
+                assert len(unobserved) > 0
+                for p in np.concatenate([unobserved, on_horizon]):
+                    with pytest.raises(ValueError):
+                        union_witness(ctx, Event(point=p, context=ctx))
+
+
 class TestRulingProperty:
     def test_horizon_samples_lie_on_the_two_rays(self):
         rng = np.random.default_rng(41)

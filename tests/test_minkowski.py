@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from desitter_horizons.minkowski import (
@@ -192,6 +192,7 @@ class TestIsometryInvariance:
         )
 
     @given(v=vec3, psi=st.floats(-3, 3))
+    @example(v=np.array([0.0, 0.0, 1e-9]), psi=1.0)
     @settings(max_examples=50)
     def test_classification_invariance(self, v, psi):
         iso = boost(psi)
