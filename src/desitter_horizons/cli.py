@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated rapidities for the cone curves (cones figure)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed (reserved)")
     parser.add_argument(
         "--proj",
         default="0.35,0.20",
@@ -66,7 +65,7 @@ def main(argv=None) -> int:
     try:
         ctx = SpacetimeContext(radius=args.radius, n=2)
         proj = _parse_floats(args.proj, 2)
-        psi_list = _parse_floats(args.psi_list) if args.psi_list else None
+        psi_list = None if args.psi_list is None else _parse_floats(args.psi_list)
         scene = build_scene(
             ctx,
             args.figure,

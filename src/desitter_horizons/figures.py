@@ -46,8 +46,8 @@ class Polyline:
         if self.label not in LABELS:
             raise ValueError(f"unknown polyline label {self.label!r}")
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (k, 3), got {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+            raise ValueError(f"points must have shape (k, 3) with k >= 1, got {pts.shape}")
         object.__setattr__(self, "points", pts)
 
 
@@ -112,6 +112,8 @@ def build_scene(
 
     figure: "fig2" (finite time), "fig3" (compactified), or "cones"
     ("fig2" plus light-cone curves for each rapidity in psi_list).
+    Raises ValueError for a non-finite t_max, rapidity or projection
+    coefficient, and when the vertices or their projection are not finite.
     """
     if ctx.n != 2:
         raise ValueError(
@@ -122,9 +124,33 @@ def build_scene(
         raise ValueError(f"unknown figure {figure!r}")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
+    psi_values = DEFAULT_PSI_LIST if psi_list is None else tuple(psi_list)
+    if figure == "cones" and not psi_values:
+        raise ValueError("the cones figure needs at least one rapidity")
+    checks = (("t_max", (t_max,)), ("rapidities", psi_values), ("projection", projection))
+    for name, values in checks:
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{name} must be finite, got {values}")
     if figure != "fig3" and not t_max > 0.0:
         raise ValueError("t_max must be positive")
 
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scene = _assemble(ctx, figure, t_max, resolution, psi_values, projection)
+            points = [pl.points for pl in scene.polylines] + [scene.markers]
+            # 2.2 x the largest screen coordinate bounds every SVG viewBox number.
+            finite = np.isfinite(2.2 * np.abs(scene.project(np.vstack(points))).max())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"figure coordinates are not finite at radius {ctx.radius}: the radius, "
+            "t_max, rapidities or projection coefficients are out of range"
+        )
+    return scene
+
+
+def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureScene:
     r = ctx.radius
     compactified = figure == "fig3"
     t_grid = _time_grid(ctx, figure, t_max, resolution)
@@ -161,7 +187,6 @@ def build_scene(
     polylines.append(Polyline("throat-circle", circle, closed=True))
 
     if figure == "cones":
-        psi_values = DEFAULT_PSI_LIST if psi_list is None else tuple(psi_list)
         s = np.linspace(-t_max, t_max, 2 * resolution - 1)
         for psi in psi_values:
             b = boost(psi, ctx.n).matrix
@@ -204,32 +229,19 @@ def _null_space_direction(normal: np.ndarray) -> np.ndarray:
     return -d if d[1] < 0.0 or (d[1] == 0.0 and d[0] < 0.0) else d
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_csv(scene: FigureScene, path) -> None:
     """One row per vertex: label, polyline and vertex indices, coordinates,
     and projected screen coordinates. Header-only for an empty scene."""
-    rows = ["label,polyline,vertex,x1,x2,t,u,v"]
-    index = 0
-    for pl in scene.polylines:
-        uv = scene.project(pl.points)
-        for k, (p, s) in enumerate(zip(pl.points, uv)):
-            rows.append(
-                f"{pl.label},{index},{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},"
-                f"{_fmt(s[0])},{_fmt(s[1])}"
-            )
-        index += 1
+    blocks = [(pl.label, pl.points) for pl in scene.polylines]
     if scene.markers.size:
-        uv = scene.project(scene.markers)
-        for k, (p, s) in enumerate(zip(scene.markers, uv)):
-            rows.append(
-                f"{MARKER_LABEL},{index},{k},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},"
-                f"{_fmt(s[0])},{_fmt(s[1])}"
-            )
+        blocks.append((MARKER_LABEL, scene.markers))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("label,polyline,vertex,x1,x2,t,u,v\n")
+        # One % template per polyline; '%.17g' % x equals format(x, '.17g').
+        for index, (label, pts) in enumerate(blocks):
+            rows = np.column_stack([np.arange(len(pts)), pts, scene.project(pts)])
+            row = f"{label},{index},%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+            fh.write(row * len(pts) % tuple(rows.ravel().tolist()))
 
 
 _SVG_STYLE = (
@@ -247,13 +259,14 @@ _SVG_STYLE = (
 def emit_svg(scene: FigureScene, path, annotate_throat: bool = False) -> None:
     """Deterministic SVG 1.1: one path per polyline, class = label; the
     throat-intersection events become marker circles."""
-    all_pts = [scene.project(pl.points) for pl in scene.polylines]
+    screen = [scene.project(pl.points) for pl in scene.polylines]
     if scene.markers.size:
-        all_pts.append(scene.project(scene.markers))
-    if all_pts:
-        stacked = np.vstack(all_pts)
+        screen.append(scene.project(scene.markers))
+    for uv in screen:
         # SVG y grows downward; flip the v axis.
-        stacked = np.column_stack([stacked[:, 0], -stacked[:, 1]])
+        uv[:, 1] = -uv[:, 1]
+    if screen:
+        stacked = np.vstack(screen)
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
@@ -263,38 +276,27 @@ def emit_svg(scene: FigureScene, path, annotate_throat: bool = False) -> None:
         lo = np.array([0.0, 0.0])
         hi = np.array([1.0, 1.0])
     w, h = hi - lo
-    parts = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt6(lo[0])} {_fmt6(lo[1])} {_fmt6(w)} {_fmt6(h)}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'viewBox="%.6g %.6g %.6g %.6g">' % (lo[0], lo[1], w, h),
     ]
     if scene.compactified:
-        parts.append(
+        head.append(
             "<desc>Compactified time: (x1,x2,t) -> (s*x1, s*x2, (2R/pi)*atan(t/R)) "
             "with s = sqrt(R^2+tau^2)/sqrt(R^2+t^2); all vertices remain on the "
             "hyperboloid.</desc>"
         )
-    parts.append(f"<style>{_SVG_STYLE}</style>")
-    for pl in scene.polylines:
-        uv = scene.project(pl.points)
-        cmds = [f"M {_fmt6(uv[0, 0])} {_fmt6(-uv[0, 1])}"]
-        cmds += [f"L {_fmt6(u)} {_fmt6(-v)}" for u, v in uv[1:]]
-        if pl.closed:
-            cmds.append("Z")
-        parts.append(f'<path class="{pl.label}" d="{" ".join(cmds)}"/>')
-    if scene.markers.size:
-        uv = scene.project(scene.markers)
-        radius = 0.012 * max(w, h) * (1.8 if annotate_throat else 1.0)
-        cls = MARKER_LABEL + (" annotated" if annotate_throat else "")
-        for u, v in uv:
-            parts.append(
-                f'<circle class="{cls}" cx="{_fmt6(u)}" cy="{_fmt6(-v)}" '
-                f'r="{_fmt6(radius)}"/>'
-            )
-    parts.append("</svg>")
+    head.append(f"<style>{_SVG_STYLE}</style>\n")
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def _fmt6(x: float) -> str:
-    return format(float(x), ".6g")
+        fh.write("\n".join(head))
+        for pl, uv in zip(scene.polylines, screen):
+            d = "M %.6g %.6g" + " L %.6g %.6g" * (len(uv) - 1) + (" Z" if pl.closed else "")
+            fh.write(f'<path class="{pl.label}" d="{d}"/>\n' % tuple(uv.ravel().tolist()))
+        if scene.markers.size:
+            radius = 0.012 * max(w, h) * (1.8 if annotate_throat else 1.0)
+            cls = MARKER_LABEL + (" annotated" if annotate_throat else "")
+            circle = f'<circle class="{cls}" cx="%.6g" cy="%.6g" r="{radius:.6g}"/>\n'
+            uv = screen[-1]
+            fh.write(circle * len(uv) % tuple(uv.ravel().tolist()))
+        fh.write("</svg>\n")

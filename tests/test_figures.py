@@ -1,7 +1,10 @@
 import csv
+import hashlib
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +87,53 @@ class TestBuildScene:
             build_scene(CTX, "fig2", resolution=4)
         with pytest.raises(ValueError):
             build_scene(CTX, "fig5")
+
+    @pytest.mark.parametrize(
+        "figure,kw,match",
+        [
+            ("fig2", {"t_max": math.inf}, "t_max must be finite"),
+            ("fig3", {"t_max": math.nan}, "t_max must be finite"),
+            ("cones", {"psi_list": [0.0, math.nan]}, "rapidities must be finite"),
+            ("fig2", {"projection": (0.35, math.nan, 1.0)}, "projection must be finite"),
+            ("cones", {"psi_list": []}, "at least one rapidity"),
+            ("fig2", {"t_max": 1e200}, "not finite"),
+            ("cones", {"psi_list": [1000.0]}, "not finite"),
+            ("fig2", {"projection": (5e307, 0.2, 1.0)}, "not finite"),
+        ],
+        ids=[
+            "t-max-inf",
+            "fig3-t-max-nan",
+            "psi-nan",
+            "proj-nan",
+            "psi-list-empty",
+            "time-grid-overflow",
+            "rapidity-overflow",
+            "projection-overflow",
+        ],
+    )
+    def test_rejects_non_finite_and_overflowing_inputs(self, figure, kw, match):
+        with pytest.raises(ValueError, match=match):
+            _scene(figure, **kw)
+
+    @pytest.mark.parametrize("radius", [1e300, 1e-300])
+    def test_radius_out_of_range(self, radius):
+        # 1e300 overflows the squared radius; 1e-300 underflows it to 0 and
+        # compactify divides 0 by 0.
+        with pytest.raises(ValueError, match="not finite"):
+            build_scene(SpacetimeContext(radius=radius, n=2), "fig3")
+
+    def test_large_finite_inputs_still_render(self):
+        scene = build_scene(SpacetimeContext(radius=1e150, n=2), "fig3")
+        assert all(np.isfinite(pl.points).all() for pl in scene.polylines)
+        scene = _scene("cones", psi_list=[100.0])
+        assert all(np.isfinite(pl.points).all() for pl in scene.polylines)
+
+
+    def test_polyline_needs_a_vertex(self):
+        from desitter_horizons.figures import Polyline
+
+        with pytest.raises(ValueError, match="k >= 1"):
+            Polyline("worldline", np.empty((0, 3)))
 
 
 class TestCompactify:
@@ -179,6 +229,27 @@ class TestCli:
         rc = cli_main(["fig2", "--resolution", "2", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cones", "--psi-list=nan"],
+            ["fig2", "--t-max", "inf"],
+            ["fig2", "--proj", "nan,0"],
+            ["fig3", "--radius", "1e300"],
+            ["cones", "--psi-list=,"],
+        ],
+        ids=["psi-nan", "t-max-inf", "proj-nan", "radius-overflow", "psi-list-empty"],
+    )
+    def test_invalid_figure_inputs_exit_2(self, tmp_path, capsys, argv):
+        assert cli_main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "horizons: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fig2", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
     def test_unwritable_path(self, tmp_path):
         rc = cli_main(["fig2", "--out", str(tmp_path / "no" / "such" / "dir" / "x")])
         assert rc == 2
@@ -200,3 +271,71 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ep.csv").exists()
+
+
+GOLDEN_FIGURES = Path(__file__).resolve().parent.parent / "bench" / "golden_figures.json"
+
+# The figure_render benchmark configurations, rendered with --format both.
+BENCH_ARGVS = {
+    "fig2": ["fig2", "--resolution", "64"],
+    "fig3": ["fig3", "--resolution", "256"],
+    "cones": ["cones", "--resolution", "512", "--psi-list=-2,-1,0,1,2"],
+}
+
+# (name, argv, output files); SHA-256 digests of every output file below.
+GATE_CASES = [
+    *((name, argv, [f"{name}.svg", f"{name}.csv"]) for name, argv in BENCH_ARGVS.items()),
+    ("annotated", ["fig2", "--annotate-throat", "--format", "svg"], ["annotated.svg"]),
+    (
+        "custom",
+        ["fig2", "--radius", "2.5", "--proj", "0.5,0.1", "--t-max", "3"],
+        ["custom.svg", "custom.csv"],
+    ),
+    ("fig3only", ["fig3", "--format", "csv"], ["fig3only.csv"]),
+]
+
+# Recorded with the per-vertex f-string emitters that preceded the block
+# formatting; the three benchmark configurations equal bench/golden_figures.json.
+GATE_DIGESTS = {
+    "fig2.svg": "e3ad3799f9c26c61b67f417ca6f3147ec9adb0008c5c5b7ec8815502d2e831cb",
+    "fig2.csv": "792e35150ff9c4e2ed30b9b9607a93ea92e7a199dae42eb2a6473682628176bf",
+    "fig3.svg": "37bfa2de64e96d59e0e66bfcfd482e8227e283cc0c7a1172ffd6b4061871ddb1",
+    "fig3.csv": "931177887a387dd2fc0d66222ea7ba9083bd627dd0b403d05c2a1cd803751abb",
+    "cones.svg": "b587ee65b7cf5a5cbdb23399d784811ffa45c21fa814b8db22a98ae4f0350a22",
+    "cones.csv": "9b384ab7266d0cc62b1bf31e89eaa1a0165f99fc30cde0272ba48228380b2466",
+    "annotated.svg": "fc22706e5e5bb85bd0a83a19cbcada46121dd3dda0473f8a76b9d63a4088acf2",
+    "custom.svg": "6da49560983e26a02623cd26ad40d19501cb06da01da68d6f4d0a4680bc9c1d4",
+    "custom.csv": "eef4c630be5073c5b5502cf6883f0670610d90997f5f506c069dd7ad59758b9b",
+    "fig3only.csv": "9bc902d421aac833002754c3b12ce77c4a0e7235dd1dcfa964dd71a912ae11b2",
+    "empty.csv": "6edded6a82f4485b45ea818695c81f6e6d2e2c35b2852ce97a5940684207ee13",
+    "empty.svg": "e4a56e9496c3b2dffbe6d204a2433c856e3a3d1ec8d4f7c8df74ff868d6d4c20",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestByteIdentityGate:
+    """Figure bytes are pinned: emitter rewrites must reproduce them exactly."""
+
+    @pytest.mark.parametrize("name,argv,files", GATE_CASES, ids=[c[0] for c in GATE_CASES])
+    def test_cli_outputs(self, tmp_path, name, argv, files):
+        assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0
+        for fname in files:
+            assert _sha256(tmp_path / fname) == GATE_DIGESTS[fname], fname
+
+    def test_empty_scene(self, tmp_path):
+        from desitter_horizons.figures import FigureScene
+
+        scene = FigureScene(context=CTX, polylines=(), markers=np.empty((0, 3)), t_max=1.0)
+        emit_csv(scene, tmp_path / "empty.csv")
+        emit_svg(scene, tmp_path / "empty.svg")
+        for fname in ("empty.csv", "empty.svg"):
+            assert _sha256(tmp_path / fname) == GATE_DIGESTS[fname], fname
+
+    def test_benchmark_digests_match_golden(self):
+        golden = json.loads(GOLDEN_FIGURES.read_text())
+        for name in BENCH_ARGVS:
+            for ext in ("svg", "csv"):
+                assert GATE_DIGESTS[f"{name}.{ext}"] == golden[f"{name}.{ext}"]
