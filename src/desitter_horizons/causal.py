@@ -20,11 +20,10 @@ from .manifold import (
     SpacetimeContext,
     WorldLine,
     canonicalize,
-    on_hyperboloid,
     orientation_field,
     _unit_vectors,
 )
-from .minkowski import boost, inner
+from .minkowski import _form, boost
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -147,10 +146,11 @@ def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
     return HalfSpaceSet(_covector(ctx, 1.0, 1.0), "=", 0.0, _band(ctx))
 
 
-def _canonical_frame(p: Event):
-    """Inverse of the frame isometry taking the canonical observer to p."""
+def _canonical_frame(p: Event) -> np.ndarray:
+    """Matrix of the inverse of the frame isometry taking the canonical
+    observer to p."""
     line = WorldLine(base=p, tangent=orientation_field(p))
-    return canonicalize(line).inverse()
+    return canonicalize(line).inverse().matrix
 
 
 def _past_margin(x1, t, r: float):
@@ -166,16 +166,20 @@ def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
     from the slice-orthogonal tangent at p; the apex and the cone itself are
     reported as Boundary.
     """
-    ctx = p.context
-    qc = _canonical_frame(p).apply(q.point)
-    return _verdict(float(_past_margin(qc[0], qc[-1], ctx.radius)), _band(ctx))
+    return _frame_verdict(q, p, 1.0)
 
 
 def causal_future_of_event(q: Event, p: Event) -> CausalVerdict:
     """Is q in the causal future of p? Mirror of causal_past_of_event."""
+    return _frame_verdict(q, p, -1.0)
+
+
+def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
+    # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
-    qc = _canonical_frame(p).apply(q.point)
-    return _verdict(float(_past_margin(qc[0], -qc[-1], ctx.radius)), _band(ctx))
+    qc = _canonical_frame(p) @ q.point
+    margin = _past_margin(qc[0], time_sign * qc[-1], ctx.radius)
+    return _verdict(float(margin), _band(ctx))
 
 
 def chord_oracle(p: Event, q: Event) -> CausalVerdict:
@@ -185,21 +189,20 @@ def chord_oracle(p: Event, q: Event) -> CausalVerdict:
     non-spacelike and future directed; equivalently <p, q> >= R^2 with the
     right time order. Margins are in R^2 units.
     """
-    ctx = p.context
-    d = q.point - p.point
-    c = inner(p.point, q.point) - ctx.radius**2
-    dt = float(d[-1])
-    # Wrong time order dominates the margin once the chord points pastward.
-    margin = min(c, dt * ctx.radius)
-    return _verdict(margin, ctx.tol * ctx.radius**2)
+    return _chord_verdict(p, q, 1.0)
 
 
 def chord_oracle_past(p: Event, q: Event) -> CausalVerdict:
     """Is q in the causal past of p? Same chord test with time order reversed."""
+    return _chord_verdict(p, q, -1.0)
+
+
+def _chord_verdict(p: Event, q: Event, time_sign: float) -> CausalVerdict:
     ctx = p.context
-    d = q.point - p.point
-    c = inner(p.point, q.point) - ctx.radius**2
-    margin = min(c, -float(d[-1]) * ctx.radius)
+    c = _form(p.point, q.point) - ctx.radius**2
+    dt = time_sign * float(q.point[-1] - p.point[-1])
+    # Wrong time order dominates the margin once the chord points pastward.
+    margin = min(c, dt * ctx.radius)
     return _verdict(margin, ctx.tol * ctx.radius**2)
 
 

@@ -269,7 +269,10 @@ def emit_svg(scene: FigureScene, path, annotate_throat: bool = False) -> None:
         stacked = np.vstack(screen)
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
-        span = np.maximum(hi - lo, 1e-9)
+        # Floor a degenerate span relative to the scene's own size, so tiny
+        # scenes keep their proportions.
+        size = float(np.abs(stacked).max()) or 1.0
+        span = np.maximum(hi - lo, 1e-9 * size)
         lo = lo - 0.05 * span
         hi = hi + 0.05 * span
     else:

@@ -17,9 +17,10 @@ from .minkowski import (
     Isometry,
     TimeDirection,
     _as_vector,
-    classify,
-    inner,
-    time_direction,
+    _classify,
+    _form,
+    _norm,
+    _time_direction,
 )
 
 # Pivot threshold for rejecting near-degenerate frame candidates during
@@ -42,13 +43,21 @@ class SpacetimeContext:
             raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
 
 
-def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
-    """Membership test |<v, v> - R^2| <= tol * R^2."""
+def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
     v = _as_vector(v)
     if v.size != ctx.n + 1:
         raise ValueError(f"expected {ctx.n + 1} components, got {v.size}")
+    return v
+
+
+def _member(v: np.ndarray, ctx: SpacetimeContext) -> bool:
     r2 = ctx.radius**2
-    return abs(inner(v, v) - r2) <= ctx.tol * r2
+    return abs(_form(v, v) - r2) <= ctx.tol * r2
+
+
+def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
+    """Membership test |<v, v> - R^2| <= tol * R^2."""
+    return _member(_as_point(v, ctx), ctx)
 
 
 @dataclass(frozen=True)
@@ -59,12 +68,25 @@ class Event:
     context: SpacetimeContext
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _as_vector(self.point).copy())
-        if not on_hyperboloid(self.point, self.context):
+        point = _as_point(self.point, self.context).copy()
+        object.__setattr__(self, "point", point)
+        if not _member(point, self.context):
             raise ValueError(
-                f"point {self.point} is not on the hyperboloid of radius "
+                f"point {point} is not on the hyperboloid of radius "
                 f"{self.context.radius}"
             )
+
+    @classmethod
+    def _exact(cls, point: np.ndarray, context: SpacetimeContext) -> "Event":
+        """Wrap a fresh array that is exactly an event's point or its negation.
+
+        Negation is exact and <-x, -x> equals <x, x> bit for bit, so such a
+        point is certified already; the Event takes ownership of `point`.
+        """
+        e = object.__new__(cls)
+        object.__setattr__(e, "point", point)
+        object.__setattr__(e, "context", context)
+        return e
 
     @property
     def spatial(self) -> np.ndarray:
@@ -156,13 +178,14 @@ class WorldLine:
         ctx = self.base.context
         if u.size != ctx.n + 1:
             raise ValueError("tangent dimension does not match the base event")
-        scale = max(1.0, float(np.linalg.norm(u)) ** 2)
-        if abs(inner(u, u) + 1.0) > 1e-7 * scale:
-            raise ValueError(f"tangent is not unit timelike: <u,u> = {inner(u, u)}")
-        mixed_scale = max(1.0, float(np.linalg.norm(u) * np.linalg.norm(self.base.point)))
-        if abs(inner(self.base.point, u)) > 1e-7 * mixed_scale:
+        nu = _norm(u)
+        uu = _form(u, u)
+        if abs(uu + 1.0) > 1e-7 * max(1.0, nu**2):
+            raise ValueError(f"tangent is not unit timelike: <u,u> = {uu}")
+        mixed_scale = max(1.0, nu * _norm(self.base.point))
+        if abs(_form(self.base.point, u)) > 1e-7 * mixed_scale:
             raise ValueError("tangent is not tangent to the hyperboloid at the base")
-        if time_direction(u) is not TimeDirection.FUTURE:
+        if _time_direction(u) is not TimeDirection.FUTURE:
             raise ValueError("tangent must be future directed")
 
     @property
@@ -206,7 +229,7 @@ def orientation_field(e: Event) -> np.ndarray:
     """
     r = e.context.radius
     x = e.spatial
-    nx = float(np.linalg.norm(x))
+    nx = _norm(x)
     y = np.empty_like(e.point)
     y[:-1] = e.t * x / (r * nx)
     y[-1] = nx / r
@@ -224,10 +247,8 @@ def canonicalize(line: WorldLine) -> Isometry:
     """
     ctx = line.context
     dim = ctx.n + 1
-    cols: list[tuple[np.ndarray, float]] = [
-        (line.base.point / ctx.radius, 1.0),
-        (line.tangent.copy(), -1.0),
-    ]
+    first = line.base.point / ctx.radius
+    cols: list[tuple[np.ndarray, float]] = [(first, 1.0), (line.tangent, -1.0)]
     spatial_extra: list[np.ndarray] = []
     for k in range(dim):
         if len(spatial_extra) == ctx.n - 1:
@@ -235,8 +256,8 @@ def canonicalize(line: WorldLine) -> Isometry:
         v = np.zeros(dim)
         v[k] = 1.0
         for w, sgn in cols:
-            v = v - (inner(v, w) / sgn) * w
-        q = inner(v, v)
+            v = v - (_form(v, w) / sgn) * w
+        q = _form(v, v)
         if q <= _GS_PIVOT:
             continue
         v = v / math.sqrt(q)
@@ -245,12 +266,7 @@ def canonicalize(line: WorldLine) -> Isometry:
     if len(spatial_extra) != ctx.n - 1:
         raise ValueError("failed to complete a frame around the world line")
 
-    m = np.empty((dim, dim))
-    m[:, 0] = line.base.point / ctx.radius
-    for j, v in enumerate(spatial_extra, start=1):
-        m[:, j] = v
-    m[:, -1] = line.tangent
-    return Isometry(matrix=m, preserves_time=True)
+    return Isometry(matrix=np.column_stack([first, *spatial_extra, line.tangent]))
 
 
 @dataclass(frozen=True)
@@ -274,11 +290,12 @@ def null_ray(p0: Event, u) -> NullRay:
     ctx = p0.context
     if u.size != ctx.n + 1:
         raise ValueError("direction dimension does not match the base event")
-    if float(np.linalg.norm(u)) <= ctx.tol:
+    nu = _norm(u)
+    if nu <= ctx.tol:
         raise ValueError("direction must be nonzero")
-    if classify(u) is not CausalClass.NULL:
-        raise ValueError(f"direction is not null: <u,u> = {inner(u, u)}")
-    mixed_scale = max(1.0, float(np.linalg.norm(u) * np.linalg.norm(p0.point)))
-    if abs(inner(p0.point, u)) > ctx.tol * mixed_scale:
+    if _classify(u) is not CausalClass.NULL:
+        raise ValueError(f"direction is not null: <u,u> = {_form(u, u)}")
+    mixed_scale = max(1.0, nu * _norm(p0.point))
+    if abs(_form(p0.point, u)) > ctx.tol * mixed_scale:
         raise ValueError("direction is not tangent to the hyperboloid at the base")
     return NullRay(base=p0, direction=u.copy())

@@ -51,36 +51,47 @@ def metric(n: int) -> np.ndarray:
     return g
 
 
+def _form(u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v> of two checked 1-d float arrays of equal size."""
+    return float(u[:-1] @ v[:-1] - u[-1] * v[-1])
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a checked 1-d float array; equals np.linalg.norm."""
+    return math.sqrt(float(v @ v))
+
+
 def inner(u, v) -> float:
     """Lorentz bilinear form of two vectors of equal dimension."""
     u = _as_vector(u)
     v = _as_vector(v)
     if u.size != v.size:
         raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return float(u[:-1] @ v[:-1] - u[-1] * v[-1])
+    return _form(u, v)
 
 
 def sign_scale(u, v) -> float:
     """Threshold scale for sign tests on <u, v>: max(1, |u||v|) (Euclidean)."""
-    return max(1.0, float(np.linalg.norm(u) * np.linalg.norm(v)))
+    return max(1.0, _norm(_as_vector(u)) * _norm(_as_vector(v)))
 
 
-def classify(v) -> CausalClass:
-    """Trichotomy of a vector under the form, with a Zero case."""
-    v = _as_vector(v)
+def _classify(v: np.ndarray) -> CausalClass:
     if not v.any():
         return CausalClass.ZERO
-    q = inner(v, v)
-    if abs(q) <= EPS * sign_scale(v, v):
+    q = _form(v, v)
+    nv = _norm(v)
+    if abs(q) <= EPS * max(1.0, nv * nv):
         return CausalClass.NULL
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 
 
-def time_direction(v) -> TimeDirection:
-    """Future/Past split of non-spacelike vectors by the orientation field."""
-    v = _as_vector(v)
-    cls = classify(v)
-    if cls in (CausalClass.SPACELIKE, CausalClass.ZERO):
+def classify(v) -> CausalClass:
+    """Trichotomy of a vector under the form, with a Zero case."""
+    return _classify(_as_vector(v))
+
+
+def _time_direction(v: np.ndarray) -> TimeDirection:
+    if _classify(v) in (CausalClass.SPACELIKE, CausalClass.ZERO):
         return TimeDirection.NONE
     # g(X, v) = -v_t for X = (0, ..., 0, 1).
     g_x_v = -v[-1]
@@ -91,40 +102,45 @@ def time_direction(v) -> TimeDirection:
     return TimeDirection.NONE
 
 
+def time_direction(v) -> TimeDirection:
+    """Future/Past split of non-spacelike vectors by the orientation field."""
+    return _time_direction(_as_vector(v))
+
+
 @dataclass(frozen=True)
 class Isometry:
-    """A linear map preserving the form, tagged with its time behaviour."""
+    """A linear map preserving the form."""
 
     matrix: np.ndarray
-    preserves_time: bool
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
+
+    @property
+    def preserves_time(self) -> bool:
+        # g(X, M X) = -M[-1, -1] for X = (0, ..., 0, 1); negative means the
+        # time direction is kept.
+        return bool(self.matrix[-1, -1] > 0.0)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ _as_vector(v)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
-        return Isometry(
-            matrix=self.matrix @ other.matrix,
-            preserves_time=self.preserves_time == other.preserves_time,
-        )
+        return Isometry(matrix=self.matrix @ other.matrix)
 
     def inverse(self) -> "Isometry":
-        g = metric(self.n)
-        return Isometry(
-            matrix=g @ self.matrix.T @ g,
-            preserves_time=self.preserves_time,
-        )
+        """G M^T G: the transpose with its mixed space-time entries negated."""
+        m = self.matrix.T.copy()
+        m[:-1, -1] = -m[:-1, -1]
+        m[-1, :-1] = -m[-1, :-1]
+        return Isometry(matrix=m)
 
 
 def isometry_from_matrix(m: np.ndarray) -> Isometry:
-    """Wrap a matrix, deriving the time flag from the sign of g(X, m X)."""
-    m = np.asarray(m, dtype=float)
-    # g(X, m X) = -m[-1, -1]; negative value means time is preserved.
-    return Isometry(matrix=m, preserves_time=m[-1, -1] > 0.0)
+    """Wrap a matrix as an Isometry; its time behaviour is derived from it."""
+    return Isometry(matrix=np.asarray(m, dtype=float))
 
 
 def boost(psi: float, n: int = 2) -> Isometry:
@@ -135,12 +151,12 @@ def boost(psi: float, n: int = 2) -> Isometry:
     m[0, -1] = s
     m[-1, 0] = s
     m[-1, -1] = c
-    return Isometry(matrix=m, preserves_time=True)
+    return Isometry(matrix=m)
 
 
 def central_symmetry(n: int = 2) -> Isometry:
     """Point reflection through the origin; reverses the time direction."""
-    return Isometry(matrix=-np.eye(n + 1), preserves_time=False)
+    return Isometry(matrix=-np.eye(n + 1))
 
 
 def spatial_rotation(axes: tuple[int, int], angle: float, n: int = 2) -> Isometry:
@@ -157,7 +173,7 @@ def spatial_rotation(axes: tuple[int, int], angle: float, n: int = 2) -> Isometr
     m[a, b] = -s
     m[b, a] = s
     m[b, b] = c
-    return Isometry(matrix=m, preserves_time=True)
+    return Isometry(matrix=m)
 
 
 def verify_isometry(iso: Isometry) -> float:

@@ -18,7 +18,7 @@ from .manifold import Event, SpacetimeContext, sample_hyperboloid
 
 def antipode(e: Event) -> Event:
     """The point reflection -e; stays on the hyperboloid."""
-    return Event(point=-e.point, context=e.context)
+    return Event._exact(-e.point, e.context)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def _normalized_coords(coords: np.ndarray, ctx: SpacetimeContext) -> np.ndarray:
 def quotient_rep(e: Event) -> QuotientPoint:
     """Canonical representative of the glued pair; identical for e and -e."""
     rep = _normalized_coords(e.point, e.context)
-    return QuotientPoint(representative=Event(point=rep, context=e.context))
+    return QuotientPoint(representative=Event._exact(rep, e.context))
 
 
 def injectivity_check(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -392,3 +393,69 @@ class TestRulingProperty:
                 moved = p + s * u
                 assert hp.verdict(moved).region is Region.BOUNDARY
                 assert on_hyperboloid(moved, ctx)
+
+
+def _ruling_partner(p: Event, sign: float) -> Event:
+    """p + sign R u for a null tangent u at p: q lies on p's light cone.
+
+    u is the slice-orthogonal unit timelike tangent plus a unit spatial
+    vector orthogonal to the spatial part of p.
+    """
+    ctx, x = p.context, p.point
+    nx = float(np.linalg.norm(x[:-1]))
+    y = np.append(x[-1] * x[:-1] / (ctx.radius * nx), nx / ctx.radius)
+    w = np.zeros(x.size)
+    w[0], w[1] = -x[1], x[0]
+    u = y + w / math.hypot(x[0], x[1])
+    return Event(point=x + sign * ctx.radius * u, context=ctx)
+
+
+def _verdict_gate_digest(per_cell=48):
+    """One SHA-256 over the scalar causal path's outputs on a seeded grid."""
+    from desitter_horizons.minkowski import classify, time_direction
+    from desitter_horizons.quotient import quotient_rep
+
+    h = hashlib.sha256()
+    for n in (2, 3, 4, 6):
+        for r in (1e-3, 1.0, 1e3):
+            ctx = SpacetimeContext(radius=r, n=n)
+            for t_span in (2.0, 1e2, 3e2):
+                rng = np.random.default_rng([n, int(t_span), 4])
+                pts = sample_hyperboloid(ctx, 2 * per_cell, rng, t_span=t_span)
+                events = [Event(point=p, context=ctx) for p in pts]
+                # Random pairs, p with itself (the zero chord) and two null chords.
+                pairs = list(zip(events[::2], events[1::2])) + [
+                    (events[0], events[0]),
+                    (events[1], _ruling_partner(events[1], 1.0)),
+                    (events[2], _ruling_partner(events[2], -1.0)),
+                ]
+                for p, q in pairs:
+                    for v in (
+                        causal_past_of_event(q, p),
+                        causal_future_of_event(q, p),
+                        chord_oracle(p, q),
+                        chord_oracle_past(p, q),
+                    ):
+                        h.update(v.region.value.encode())
+                        h.update(np.float64(v.margin).tobytes())
+                    chord = q.point - p.point
+                    h.update(classify(chord).value.encode())
+                    h.update(time_direction(chord).value.encode())
+                    h.update(quotient_rep(q).representative.point.tobytes())
+    return h.hexdigest()
+
+
+class TestVerdictIdentityGate:
+    """Verdicts are pinned bit for bit: scalar-path rewrites must reproduce them.
+
+    The digest covers the margins and regions of both frame routes and both
+    chord oracles, classify and time_direction of the chord, and the quotient
+    representative, over n in {2, 3, 4, 6}, R in {1e-3, 1, 1e3} and t_span in
+    {2, 1e2, 3e2}. It was recorded before the causal path skipped its
+    repeated input validation.
+    """
+
+    DIGEST = "55a93aa34ecc9626ddeb10f8ac901e681bc2b0cad7b7dee03240ddcad29918d6"
+
+    def test_digest(self):
+        assert _verdict_gate_digest() == self.DIGEST

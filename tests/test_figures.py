@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,18 @@ class TestEmitSvg:
         path = tmp_path / "fig2.svg"
         emit_svg(_scene(), path, annotate_throat=True)
         assert 'class="throat-intersection annotated"' in path.read_text()
+
+    def test_tiny_scene_keeps_its_viewbox_proportions(self, tmp_path):
+        # The floor on the view span is relative to the scene's size, so a
+        # scene 1e-12 times smaller gets a viewBox 1e-12 times smaller.
+        boxes = []
+        for size in ("1", "1e-12"):
+            out = tmp_path / f"r{size}"
+            argv = ["fig2", "--radius", size, "--t-max", size, "--format", "svg"]
+            assert cli_main(argv + ["--out", str(out)]) == 0
+            box = re.search(r'viewBox="([^"]*)"', out.with_suffix(".svg").read_text())
+            boxes.append(np.array(box.group(1).split(), dtype=float))
+        np.testing.assert_allclose(boxes[1], boxes[0] * 1e-12, rtol=1e-5)
 
 
 class TestCli:

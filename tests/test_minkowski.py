@@ -97,6 +97,43 @@ class TestTimeDirection:
         assert time_direction(-v) is flip[time_direction(v)]
 
 
+class TestPublicValidation:
+    BAD_VECTORS = [(1.0, 0.0), np.eye(3), [[1.0, 0.0, 0.0]]]
+
+    @pytest.mark.parametrize("v", BAD_VECTORS)
+    def test_single_vector_calls_raise(self, v):
+        for fn in (classify, time_direction):
+            with pytest.raises(ValueError):
+                fn(v)
+        with pytest.raises(ValueError):
+            inner(v, v)
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            inner((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+class TestIsometryInverse:
+    @pytest.mark.parametrize(
+        "iso",
+        [
+            boost(2.5),
+            boost(-1.0, n=4).compose(spatial_rotation((2, 3), 0.7, n=4)),
+            central_symmetry(n=3).compose(boost(0.3, n=3)),
+        ],
+    )
+    def test_equals_metric_conjugate_transpose(self, iso):
+        g = metric(iso.n)
+        np.testing.assert_array_equal(iso.inverse().matrix, g @ iso.matrix.T @ g)
+
+    def test_time_behaviour_is_derived(self):
+        i0 = central_symmetry()
+        assert not i0.compose(boost(1.0)).preserves_time
+        assert i0.compose(i0).preserves_time
+        assert not i0.inverse().preserves_time
+        assert boost(2.0).inverse().preserves_time
+
+
 class TestBoost:
     def test_orbit_of_throat_event(self):
         psi, r = 0.7, 2.0

@@ -9,7 +9,14 @@ from desitter_horizons.causal import (
     J_plus_negL,
     sample_horizon,
 )
-from desitter_horizons.manifold import Event, SpacetimeContext, event, sample_hyperboloid
+from desitter_horizons.manifold import (
+    Event,
+    SpacetimeContext,
+    event,
+    on_hyperboloid,
+    sample_hyperboloid,
+)
+from desitter_horizons.minkowski import inner
 from desitter_horizons.quotient import (
     antipode,
     horizon_symmetry_check,
@@ -102,3 +109,32 @@ class TestHorizonSymmetry:
         ctx = SpacetimeContext(radius=2.0, n=3)
         report = horizon_symmetry_check(ctx, samples=2000, rng=np.random.default_rng(3))
         assert report.violations == 0
+
+
+def _sampled_events():
+    for n in (2, 3, 6):
+        ctx = SpacetimeContext(radius=1.0, n=n)
+        for t_span in (2.0, 1e2, 3e2):
+            rng = np.random.default_rng([n, int(t_span), 61])
+            for p in sample_hyperboloid(ctx, 50, rng, t_span=t_span):
+                yield Event(point=p, context=ctx)
+
+
+class TestExactNegation:
+    """antipode and quotient_rep negate exactly and so skip re-certification."""
+
+    def test_antipode_on_hyperboloid(self):
+        for e in _sampled_events():
+            assert on_hyperboloid(antipode(e).point, e.context)
+
+    def test_form_is_even_bit_for_bit(self):
+        for e in _sampled_events():
+            v = e.point
+            assert inner(-v, -v) == inner(v, v)
+
+    def test_results_do_not_alias_the_event(self):
+        for e in _sampled_events():
+            before = e.point.copy()
+            antipode(e).point[:] = 7.0
+            quotient_rep(e).representative.point[:] = 7.0
+            np.testing.assert_array_equal(e.point, before)
