@@ -55,102 +55,91 @@ def _verdict(margin: float, band: float, open_only: bool = False) -> CausalVerdi
 
 @dataclass(frozen=True)
 class HalfSpaceSet:
-    """{e on S(R) : a . coords(e)  rel  threshold} with a tolerance band.
+    """{e on S(R) : a . coords(e) > c}, or the hyperplane {a . coords(e) = c}
+    when `hyperplane` is set, with a tolerance band.
 
-    The margin is oriented so that positive values satisfy the relation; for
-    equality sets members are always Boundary.
+    The margin a . coords(e) - c is positive inside; members of a hyperplane
+    are always Boundary.
     """
 
     covector: np.ndarray
-    relation: str  # one of <, >, =, <=, >=
     threshold: float
     band: float
+    hyperplane: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.covector, dtype=float)
         if not np.any(a):
             raise ValueError("covector must be nonzero")
         object.__setattr__(self, "covector", a)
-        if self.relation not in ("<", ">", "=", "<=", ">="):
-            raise ValueError(f"unknown relation {self.relation!r}")
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def margins(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized oriented margins for points of shape (..., n+1)."""
-        raw = np.asarray(points, dtype=float) @ self.covector - self.threshold
-        if self.relation in ("<", "<="):
-            return -raw
-        return raw
+        """Vectorized margins for points of shape (..., n+1)."""
+        return np.asarray(points, dtype=float) @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
         m = float(self.margins(np.asarray(point, dtype=float)))
-        return _verdict(m, self.band, open_only=self.relation == "=")
+        return _verdict(m, self.band, open_only=self.hyperplane)
 
     def contains(self, point) -> bool:
         return self.verdict(point).region is not Region.OUTSIDE
 
 
-def _covector(ctx: SpacetimeContext, x1: float, t: float) -> np.ndarray:
+def _set(
+    ctx: SpacetimeContext,
+    x1: float,
+    t: float,
+    threshold: float = 0.0,
+    hyperplane: bool = False,
+) -> HalfSpaceSet:
+    """The set a . e > threshold (= when `hyperplane`) of the covector
+    a = (x1, 0, ..., 0, t), with the band tol * R."""
     a = np.zeros(ctx.n + 1)
     a[0] = x1
     a[-1] = t
-    return a
-
-
-def _band(ctx: SpacetimeContext) -> float:
-    return ctx.tol * ctx.radius
+    return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
 
 
 def cone_at_canonical_p(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Light cone of the throat event (R, 0, ..., 0): the slice x_1 = R."""
-    return HalfSpaceSet(_covector(ctx, 1.0, 0.0), "=", ctx.radius, _band(ctx))
+    return cone_at_L_psi(ctx, 0.0)
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
     """Light cone at the observer event of rapidity psi:
     x_1 - t tanh(psi) = R / cosh(psi); the boost image of the throat cone."""
-    return HalfSpaceSet(
-        _covector(ctx, 1.0, -math.tanh(psi)),
-        "=",
-        ctx.radius / math.cosh(psi),
-        _band(ctx),
-    )
+    return _set(ctx, 1.0, -math.tanh(psi), ctx.radius / math.cosh(psi), hyperplane=True)
 
 
 def J_minus_L(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Observed events of the eternal observer: x_1 - t > 0."""
-    return HalfSpaceSet(_covector(ctx, 1.0, -1.0), ">", 0.0, _band(ctx))
+    return _set(ctx, 1.0, -1.0)
 
 
 def J_plus_L(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Influenced events of the eternal observer: x_1 + t > 0."""
-    return HalfSpaceSet(_covector(ctx, 1.0, 1.0), ">", 0.0, _band(ctx))
+    return _set(ctx, 1.0, 1.0)
 
 
 def J_plus_negL(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Causal future of the antipodal observer: x_1 - t < 0."""
-    return HalfSpaceSet(_covector(ctx, 1.0, -1.0), "<", 0.0, _band(ctx))
+    return _set(ctx, -1.0, 1.0)
 
 
 def J_minus_negL(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Causal past of the antipodal observer: x_1 + t < 0."""
-    return HalfSpaceSet(_covector(ctx, 1.0, 1.0), "<", 0.0, _band(ctx))
+    return _set(ctx, -1.0, -1.0)
 
 
 def horizon_past(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Past event horizon: the null plane section x_1 = t."""
-    return HalfSpaceSet(_covector(ctx, 1.0, -1.0), "=", 0.0, _band(ctx))
+    return _set(ctx, 1.0, -1.0, hyperplane=True)
 
 
 def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
     """Future event horizon: the null plane section x_1 + t = 0."""
-    return HalfSpaceSet(_covector(ctx, 1.0, 1.0), "=", 0.0, _band(ctx))
-
-
-def _canonical_frame(p: Event) -> np.ndarray:
-    """Matrix of the inverse of the frame isometry taking the canonical
-    observer to p."""
-    line = WorldLine(base=p, tangent=orientation_field(p))
-    return canonicalize(line).inverse().matrix
+    return _set(ctx, 1.0, 1.0, hyperplane=True)
 
 
 def _past_margin(x1, t, r: float):
@@ -177,9 +166,10 @@ def causal_future_of_event(q: Event, p: Event) -> CausalVerdict:
 def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
-    qc = _canonical_frame(p) @ q.point
+    frame = canonicalize(WorldLine(base=p, tangent=orientation_field(p)))
+    qc = frame.inverse().matrix @ q.point
     margin = _past_margin(qc[0], time_sign * qc[-1], ctx.radius)
-    return _verdict(float(margin), _band(ctx))
+    return _verdict(float(margin), ctx.tol * ctx.radius)
 
 
 def chord_oracle(p: Event, q: Event) -> CausalVerdict:
@@ -271,8 +261,7 @@ def nesting_check(
     pts = pts @ boost(psi1, ctx.n).matrix.T
     qc = pts @ boost(-psi2, ctx.n).matrix.T
     margins = _past_margin(qc[:, 0], qc[:, -1], ctx.radius)
-    band = _band(ctx)
-    violations = int(np.sum(margins < -band))
+    violations = int(np.sum(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
         violations=violations,
@@ -353,10 +342,10 @@ def throat_intersection(
     center_pt = line.at(psi_star)
     center_pt[-1] = 0.0  # exact throat membership despite rounding
     center = Event(point=center_pt, context=ctx)
-    tangent_star = line.velocity(psi_star) / r
-    frame_inv = canonicalize(WorldLine(base=center, tangent=tangent_star)).inverse()
-    a = frame_inv.matrix[0] - frame_inv.matrix[-1]
-    a_spatial = a[:-1]
+    # The horizon covector is the x_1 row minus the t row of the inverse
+    # frame at the center. Their spatial parts are x/R and -u_x for the unit
+    # tangent u = velocity(psi*) / R, so no frame needs to be built.
+    a_spatial = center.spatial / r + line.velocity(psi_star)[:-1] / r
     norm = float(np.linalg.norm(a_spatial))
     if norm <= ctx.tol:
         raise ValueError("degenerate horizon plane")

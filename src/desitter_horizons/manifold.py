@@ -37,10 +37,12 @@ class SpacetimeContext:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.n < 2:
             raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
@@ -75,6 +77,11 @@ class Event:
                 f"point {point} is not on the hyperboloid of radius "
                 f"{self.context.radius}"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self.context == other.context and np.array_equal(self.point, other.point)
 
     @classmethod
     def _exact(cls, point: np.ndarray, context: SpacetimeContext) -> "Event":

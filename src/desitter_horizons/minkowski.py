@@ -70,11 +70,6 @@ def inner(u, v) -> float:
     return _form(u, v)
 
 
-def sign_scale(u, v) -> float:
-    """Threshold scale for sign tests on <u, v>: max(1, |u||v|) (Euclidean)."""
-    return max(1.0, _norm(_as_vector(u)) * _norm(_as_vector(v)))
-
-
 def _classify(v: np.ndarray) -> CausalClass:
     if not v.any():
         return CausalClass.ZERO
@@ -112,6 +107,11 @@ class Isometry:
     """A linear map preserving the form."""
 
     matrix: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Isometry):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import HalfSpaceSet, SamplingReport, sample_horizon
+from .causal import (
+    HalfSpaceSet,
+    SamplingReport,
+    horizon_future,
+    horizon_past,
+    sample_horizon,
+)
 from .manifold import Event, SpacetimeContext, sample_hyperboloid
 
 
@@ -26,13 +32,6 @@ class QuotientPoint:
     """A glued pair {e, -e}, held by its sign-normalized representative."""
 
     representative: Event
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientPoint):
-            return NotImplemented
-        return np.array_equal(
-            self.representative.point, other.representative.point
-        )
 
 
 def _normalized_coords(coords: np.ndarray, ctx: SpacetimeContext) -> np.ndarray:
@@ -60,9 +59,9 @@ def injectivity_check(
     """No antipodal pair meets an open causal half-space twice.
 
     Samples events inside `region` and asserts the antipode falls outside.
-    Equality regions (horizons) are rejected: they are centrally symmetric.
+    Hyperplanes (horizons) are rejected: they are centrally symmetric.
     """
-    if region.relation == "=":
+    if region.hyperplane:
         raise ValueError("injectivity is only meaningful for open half-spaces")
     rng = np.random.default_rng(0) if rng is None else rng
     band = region.band
@@ -82,7 +81,7 @@ def injectivity_check(
         inside = inside[: samples - collected]
         anti_margins = region.margins(-inside)
         violations += int(np.sum(anti_margins > -band))
-        worst = min(worst, float(anti_margins.max()) if anti_margins.size else worst)
+        worst = min(worst, float(anti_margins.max()))
         collected += inside.shape[0]
     return SamplingReport(samples=collected, violations=violations, worst_margin=worst)
 
@@ -98,21 +97,17 @@ def horizon_symmetry_check(
     is on the future horizon only where the two planes meet (x_1 = t = 0).
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    past, future = horizon_past(ctx), horizon_future(ctx)
+    band = past.band
     violations = 0
     worst = 0.0
-    for future in (False, True):
-        pts = sample_horizon(ctx, samples, rng, future=future)
-        a = np.zeros(ctx.n + 1)
-        a[0] = 1.0
-        a[-1] = 1.0 if future else -1.0
-        residuals = np.abs((-pts) @ a)
-        band = ctx.tol * ctx.radius
+    for same, other in ((past, future), (future, past)):
+        pts = sample_horizon(ctx, samples, rng, future=same is future)
+        residuals = np.abs(same.margins(-pts))
         violations += int(np.sum(residuals > band))
         worst = max(worst, float(residuals.max()))
         # Cross check: -e on the other horizon forces x_1 = t = 0.
-        other = a.copy()
-        other[-1] = -other[-1]
-        on_other = np.abs((-pts) @ other) <= band
+        on_other = np.abs(other.margins(-pts)) <= band
         degenerate = (np.abs(pts[:, 0]) <= band) & (np.abs(pts[:, -1]) <= band)
         violations += int(np.sum(on_other & ~degenerate))
     return SamplingReport(samples=2 * samples, violations=violations, worst_margin=worst)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from desitter_horizons.causal import (
+    HalfSpaceSet,
     Region,
     causal_future_of_event,
     causal_past_of_event,
@@ -95,6 +96,12 @@ class TestHalfSpaces:
         inside = pts[jm.margins(pts) > jm.band]
         moved = inside @ i0.matrix.T
         assert np.all(jpn.margins(moved) > 0)
+
+    def test_relation_string_rejected_at_construction(self):
+        # The set is (covector, threshold, band, hyperplane); a relation
+        # string in the threshold slot must not construct a set.
+        with pytest.raises(ValueError):
+            HalfSpaceSet(np.array([1.0, 0.0, -1.0]), ">", 0.0, 1e-9)
 
 
 class TestHorizons:
@@ -459,3 +466,65 @@ class TestVerdictIdentityGate:
 
     def test_digest(self):
         assert _verdict_gate_digest() == self.DIGEST
+
+
+def _set_gate_digest(count=100):
+    """One SHA-256 over the causal sets' margins and regions and the throat
+    normal, on a seeded grid of sampled and on-horizon events.
+
+    Margins are hashed as m + 0.0, which maps -0.0 to +0.0: on an exact zero
+    the sign of a zero margin depends on how the set's orientation is applied,
+    and a zero margin is Boundary either way.
+    """
+    h = hashlib.sha256()
+    for n in (2, 3, 6):
+        for k, r in enumerate((1e-3, 1.0, 1e3)):
+            ctx = SpacetimeContext(radius=r, n=n)
+            rng = np.random.default_rng([n, k, 5])
+            pts = np.vstack(
+                [
+                    sample_hyperboloid(ctx, count, rng),
+                    sample_horizon(ctx, count, rng),
+                    sample_horizon(ctx, count, rng, future=True),
+                ]
+            )
+            factories = (
+                J_minus_L,
+                J_plus_L,
+                J_plus_negL,
+                J_minus_negL,
+                horizon_past,
+                horizon_future,
+                cone_at_canonical_p,
+            )
+            sets = [f(ctx) for f in factories]
+            sets += [cone_at_L_psi(ctx, psi) for psi in (-3.0, 0.0, 0.7, 40.0)]
+            for s in sets:
+                h.update((s.margins(pts) + 0.0).tobytes())
+                for p in pts:
+                    h.update(s.verdict(p).region.value.encode())
+            iso = spatial_rotation((1, 2), 0.7, n).compose(boost(1.1, n))
+            canon = canonical_worldline(ctx)
+            line = WorldLine(
+                base=Event(point=iso.apply(canon.at(0.4)), context=ctx),
+                tangent=iso.apply(canon.velocity(0.4)) / r,
+            )
+            for ti in (throat_intersection(ctx), throat_intersection(ctx, line)):
+                h.update(ti.plane_normal.tobytes())
+    return h.hexdigest()
+
+
+class TestCausalSetGate:
+    """The causal sets and the throat normal are pinned bit for bit.
+
+    The digest covers the margins and verdict regions of every half-space and
+    hyperplane factory, and the throat intersection's plane normal for the
+    canonical and a boosted, rotated world line, over n in {2, 3, 6} and R in
+    {1e-3, 1, 1e3}. It was recorded before the sets moved to oriented
+    covectors.
+    """
+
+    DIGEST = "4a264193bf5b044497f3d1339930f434b4e155a399aff9c7ee78578d9a99eda7"
+
+    def test_digest(self):
+        assert _set_gate_digest() == self.DIGEST

@@ -46,6 +46,41 @@ class TestOnHyperboloid:
             event(CTX, 0.5, 0.0, 0.0)
 
 
+class TestContextValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"radius": math.nan},
+            {"radius": math.inf},
+            {"radius": -math.inf},
+            {"radius": 0.0},
+            {"radius": -1.0},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": -1.0},
+        ],
+    )
+    def test_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SpacetimeContext(**kwargs)
+
+    def test_zero_tolerance_is_exact_membership(self):
+        ctx = SpacetimeContext(tol=0.0)
+        assert on_hyperboloid((1, 0, 0), ctx)
+        assert not on_hyperboloid((1, 0, 1e-4), ctx)
+
+
+class TestEventEquality:
+    def test_same_point_and_context(self):
+        assert event(CTX, 1, 0, 0) == event(CTX, 1, 0, 0)
+        assert event(CTX, 1, 0, 0) == event(SpacetimeContext(), 1.0, 0.0, 0.0)
+
+    def test_different_point_or_context(self):
+        assert event(CTX, 1, 0, 0) != event(CTX, -1, 0, 0)
+        assert event(CTX, 1, 0, 0) != event(SpacetimeContext(tol=1e-6), 1, 0, 0)
+        assert event(CTX, 1, 0, 0) != (1.0, 0.0, 0.0)
+
+
 class TestSliceSphere:
     def test_throat_radius(self):
         assert slice_sphere(CTX, 0.0).spatial_radius == 1.0

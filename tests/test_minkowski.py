@@ -134,6 +134,15 @@ class TestIsometryInverse:
         assert boost(2.0).inverse().preserves_time
 
 
+class TestIsometryEquality:
+    def test_exact_matrix_equality(self):
+        assert boost(1.0) == boost(1.0)
+        assert central_symmetry(3) == isometry_from_matrix(-np.eye(4))
+        assert boost(1.0) != boost(2.0)
+        assert boost(1.0) != boost(1.0, n=3)
+        assert boost(1.0) != "boost(1.0)"
+
+
 class TestBoost:
     def test_orbit_of_throat_event(self):
         psi, r = 0.7, 2.0
