@@ -19,8 +19,10 @@ from .manifold import (
     Event,
     SpacetimeContext,
     WorldLine,
+    canonical_worldline,
     canonicalize,
     orientation_field,
+    _complement,
     _unit_vectors,
 )
 from .minkowski import _form, boost
@@ -53,7 +55,7 @@ def _verdict(margin: float, band: float, open_only: bool = False) -> CausalVerdi
     return CausalVerdict(Region.INSIDE, margin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfSpaceSet:
     """{e on S(R) : a . coords(e) > c}, or the hyperplane {a . coords(e) = c}
     when `hyperplane` is set, with a tolerance band.
@@ -152,8 +154,10 @@ def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
     """Is q in the causal past of p? Decided in p's canonical frame.
 
     p is moved to (R, 0, ..., 0) by the time-preserving frame isometry built
-    from the slice-orthogonal tangent at p; the apex and the cone itself are
-    reported as Boundary.
+    from the slice-orthogonal tangent u at p; the apex and the cone itself are
+    reported as Boundary. In that frame q has x_1' = <p, q>/R and
+    t' = -<u, q>, so this route and the chord oracle share the x_1 residual
+    (<p, q> - R^2, over R) and differ only in their time residual.
     """
     return _frame_verdict(q, p, 1.0)
 
@@ -173,7 +177,7 @@ def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
 
 
 def chord_oracle(p: Event, q: Event) -> CausalVerdict:
-    """Independent check: is q in the causal future of p, via the ambient chord.
+    """Is q in the causal future of p? Decided by the ambient chord.
 
     q lies in the causal future of p exactly when the chord q - p is
     non-spacelike and future directed; equivalently <p, q> >= R^2 with the
@@ -286,7 +290,7 @@ def horizon_limit_check(ctx: SpacetimeContext, q: Event, psis) -> np.ndarray:
     return np.abs(x1 - t * np.tanh(psis)) + ctx.radius / np.cosh(psis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThroatIntersection:
     """The past horizon's trace on the throat slice: an intrinsic sphere of
     radius pi R / 2 about the observer's throat event."""
@@ -300,7 +304,7 @@ class ThroatIntersection:
         """Events on the intersection set {a . x = 0, t = 0, |x| = R}."""
         ctx = self.context
         # Orthonormal basis of the spatial plane orthogonal to the normal.
-        basis = _null_space(self.plane_normal)
+        basis = _complement(self.plane_normal)
         dirs = _unit_vectors(rng, count, basis.shape[0])
         pts = np.empty((count, ctx.n + 1))
         pts[:, :-1] = ctx.radius * dirs @ basis
@@ -315,13 +319,6 @@ class ThroatIntersection:
         return ctx.radius * math.acos(max(-1.0, min(1.0, c)))
 
 
-def _null_space(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the hyperplane orthogonal to `normal`."""
-    n = normal.size
-    _, _, vt = np.linalg.svd(normal[None, :])
-    return vt[1:n]
-
-
 def throat_intersection(
     ctx: SpacetimeContext, line: WorldLine | None = None
 ) -> ThroatIntersection:
@@ -331,8 +328,6 @@ def throat_intersection(
     in the line's canonical frame pulls back to a hyperplane through the
     origin, whose t = 0 section is an intrinsic sphere of radius pi R / 2.
     """
-    from .manifold import canonical_worldline
-
     if line is None:
         line = canonical_worldline(ctx)
     r = ctx.radius

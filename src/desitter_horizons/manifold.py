@@ -8,6 +8,7 @@ take an explicit numpy Generator so runs are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,6 @@ from .minkowski import (
     _time_direction,
 )
 
-# Pivot threshold for rejecting near-degenerate frame candidates during
-# Minkowski Gram-Schmidt completion.
-_GS_PIVOT = 1e-6
-
 
 @dataclass(frozen=True)
 class SpacetimeContext:
@@ -39,6 +36,10 @@ class SpacetimeContext:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"spatial dimension must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
@@ -82,6 +83,10 @@ class Event:
         if not isinstance(other, Event):
             return NotImplemented
         return self.context == other.context and np.array_equal(self.point, other.point)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal.
+        return hash((self.context, (self.point + 0.0).tobytes()))
 
     @classmethod
     def _exact(cls, point: np.ndarray, context: SpacetimeContext) -> "Event":
@@ -167,7 +172,7 @@ def sample_hyperboloid(
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldLine:
     """Timelike geodesic L(psi) = cosh(psi) p + R sinh(psi) u.
 
@@ -243,40 +248,35 @@ def orientation_field(e: Event) -> np.ndarray:
     return y
 
 
+def _complement(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the complement of a nonzero a: rows 2.. of
+    the Householder reflection along v = a/|a| + sign(a_1) e_1, whose sign
+    keeps v away from zero."""
+    v = a / _norm(a)
+    v[0] += math.copysign(1.0, v[0])
+    return np.eye(a.size)[1:] - (2.0 / float(v @ v)) * np.outer(v[1:], v)
+
+
 def canonicalize(line: WorldLine) -> Isometry:
     """Time-preserving isometry mapping the canonical world line onto `line`.
 
-    Builds a form-orthonormal frame by Minkowski Gram-Schmidt: the first
-    column is base/R, the last is the tangent, and the remaining spacelike
-    columns come from canonical basis vectors orthogonalized against the
-    accepted ones (candidates with squared norm below the pivot threshold
-    are skipped).
+    Closed form: the first column is base/R and the last is the tangent
+    u = (s, g), both exactly. The boost B_u = [[I + s s^T/(1+g), s], [s^T, g]]
+    takes (0, ..., 0, 1) to u, and its inverse takes base/R to the spatial
+    unit vector a. B_u maps the Householder complement of a onto the
+    spacelike columns, h -> (h + s (s.h)/(1+g), s.h).
     """
-    ctx = line.context
-    dim = ctx.n + 1
-    first = line.base.point / ctx.radius
-    cols: list[tuple[np.ndarray, float]] = [(first, 1.0), (line.tangent, -1.0)]
-    spatial_extra: list[np.ndarray] = []
-    for k in range(dim):
-        if len(spatial_extra) == ctx.n - 1:
-            break
-        v = np.zeros(dim)
-        v[k] = 1.0
-        for w, sgn in cols:
-            v = v - (_form(v, w) / sgn) * w
-        q = _form(v, v)
-        if q <= _GS_PIVOT:
-            continue
-        v = v / math.sqrt(q)
-        cols.append((v, 1.0))
-        spatial_extra.append(v)
-    if len(spatial_extra) != ctx.n - 1:
-        raise ValueError("failed to complete a frame around the world line")
-
-    return Isometry(matrix=np.column_stack([first, *spatial_extra, line.tangent]))
+    first = line.base.point / line.context.radius
+    u = line.tangent
+    s, g = u[:-1], u[-1]
+    a = first[:-1] + s * ((s @ first[:-1]) / (1.0 + g) - first[-1])
+    h = _complement(a).T
+    sh = s @ h
+    spacelike = np.vstack([h + np.outer(s, sh / (1.0 + g)), sh])
+    return Isometry(matrix=np.column_stack([first, spacelike, u]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullRay:
     """Straight line gamma(s) = p0 + s u lying entirely on the hyperboloid."""
 

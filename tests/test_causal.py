@@ -97,6 +97,10 @@ class TestHalfSpaces:
         moved = inside @ i0.matrix.T
         assert np.all(jpn.margins(moved) > 0)
 
+    def test_compares_by_identity(self):
+        s = J_minus_L(CTX)
+        assert s == s and s != J_minus_L(CTX)
+
     def test_relation_string_rejected_at_construction(self):
         # The set is (covector, threshold, band, hyperplane); a relation
         # string in the threshold slot must not construct a set.
@@ -256,14 +260,19 @@ class TestThroatIntersection:
         ti = throat_intersection(CTX)
         assert ti.distance(ti.center.point) == 0.0
 
-    def test_n3_circle(self):
-        ctx = SpacetimeContext(radius=1.0, n=3)
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_throat_sphere(self, n):
+        ctx = SpacetimeContext(radius=1.0, n=n)
         ti = throat_intersection(ctx)
         pts = ti.sample(200, np.random.default_rng(4))
         for p in pts:
             assert abs(p[0]) <= 1e-12 and p[-1] == 0.0
-            assert p[1] ** 2 + p[2] ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert p[1:-1] @ p[1:-1] == pytest.approx(1.0, abs=1e-12)
             assert ti.distance(p) == pytest.approx(math.pi / 2, abs=1e-9)
+
+    def test_compares_by_identity(self):
+        ti = throat_intersection(CTX)
+        assert ti == ti and ti != throat_intersection(CTX)
 
     def test_general_worldline(self):
         ctx = SpacetimeContext(radius=2.5, n=2)

@@ -58,11 +58,18 @@ class TestContextValidation:
             {"tol": math.nan},
             {"tol": math.inf},
             {"tol": -1.0},
+            {"n": 2.5},
+            {"n": 3.0},
+            {"n": math.nan},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SpacetimeContext(**kwargs)
+
+    def test_numpy_integer_dimension(self):
+        ctx = SpacetimeContext(n=np.int64(3))
+        assert ctx.n == 3 and ctx == SpacetimeContext(n=3)
 
     def test_zero_tolerance_is_exact_membership(self):
         ctx = SpacetimeContext(tol=0.0)
@@ -79,6 +86,20 @@ class TestEventEquality:
         assert event(CTX, 1, 0, 0) != event(CTX, -1, 0, 0)
         assert event(CTX, 1, 0, 0) != event(SpacetimeContext(tol=1e-6), 1, 0, 0)
         assert event(CTX, 1, 0, 0) != (1.0, 0.0, 0.0)
+
+    def test_hash_agrees_with_equality(self):
+        # array_equal counts -0.0 and 0.0 as equal, so the hash must too.
+        a, b = event(CTX, 0.0, 1.0, 0.0), event(CTX, -0.0, 1.0, -0.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, event(CTX, 1, 0, 0)}) == 2
+
+
+class TestIdentityEquality:
+    def test_worldline_and_ray_compare_by_identity(self):
+        line = canonical_worldline(CTX)
+        assert line == line and line != canonical_worldline(CTX)
+        ray = null_ray(event(CTX, 0, 1, 0), (1, 0, 1))
+        assert ray == ray and ray != null_ray(event(CTX, 0, 1, 0), (1, 0, 1))
 
 
 class TestSliceSphere:
@@ -145,12 +166,12 @@ class TestOrientationField:
             np.testing.assert_allclose(v, factor * y, atol=1e-9 * max(1.0, factor))
 
 
-def _random_worldline(ctx, rng):
-    psi0 = rng.uniform(-2, 2)
+def _random_worldline(ctx, rng, psi_max=2.0):
+    psi0 = rng.uniform(-psi_max, psi_max)
     iso = (
         spatial_rotation((1, 2), rng.uniform(0, 2 * math.pi), n=ctx.n)
         .compose(boost(rng.uniform(-2, 2), ctx.n))
-        .compose(spatial_rotation((1, 2), rng.uniform(0, 2 * math.pi), n=ctx.n))
+        .compose(spatial_rotation((1, ctx.n), rng.uniform(0, 2 * math.pi), n=ctx.n))
     )
     canon = canonical_worldline(ctx)
     base = Event(point=iso.apply(canon.at(psi0)), context=ctx)
@@ -188,6 +209,46 @@ class TestCanonicalize:
                 np.testing.assert_allclose(
                     iso.apply(canon.at(psi)), line.at(psi), atol=1e-8
                 )
+
+    def test_residual_sweep(self):
+        # Base rapidity up to 5 over n in 2..6 and R in {1e-3, 1, 1e3}. Event
+        # accepts every one of these lines, so none is skipped.
+        rng = np.random.default_rng(3)
+        psis = np.linspace(-3, 3, 7)
+        for n in range(2, 7):
+            for r in (1e-3, 1.0, 1e3):
+                ctx = SpacetimeContext(radius=r, n=n)
+                canon = canonical_worldline(ctx)
+                for _ in range(50):
+                    line = _random_worldline(ctx, rng, psi_max=5.0)
+                    iso = canonicalize(line)
+                    assert verify_isometry(iso) <= 1e-12
+                    assert iso.preserves_time
+                    expected = line.sample(psis)
+                    np.testing.assert_allclose(
+                        canon.sample(psis) @ iso.matrix.T,
+                        expected,
+                        rtol=0,
+                        atol=1e-12 * np.abs(expected).max(),
+                    )
+
+    def test_rapidity_12_line(self):
+        # |t| ~ 1.9e5 at the base; Event and WorldLine accept the line, so
+        # canonicalize must give it a frame.
+        canon = canonical_worldline(CTX)
+        iso = (
+            spatial_rotation((1, 2), 0.3)
+            .compose(boost(1.0))
+            .compose(spatial_rotation((1, 2), 0.8))
+        )
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.at(12.0)), context=CTX),
+            tangent=iso.apply(canon.velocity(12.0)),
+        )
+        frame = canonicalize(line)
+        assert verify_isometry(frame) <= 1e-12
+        np.testing.assert_array_equal(frame.matrix[:, 0], line.base.point)
+        np.testing.assert_array_equal(frame.matrix[:, -1], line.tangent)
 
     def test_preserves_hyperboloid(self):
         rng = np.random.default_rng(11)

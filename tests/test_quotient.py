@@ -81,6 +81,14 @@ class TestQuotientRep:
             assert np.array_equal(rep, p) or np.array_equal(rep, -p)
 
 
+class TestQuotientHash:
+    def test_antipodal_pair_hashes_alike(self):
+        e = event(CTX, 0.6, 1.0, -0.6)
+        q, q_anti = quotient_rep(e), quotient_rep(antipode(e))
+        assert q == q_anti and hash(q) == hash(q_anti)
+        assert len({q, q_anti, quotient_rep(event(CTX, 1, 0, 0))}) == 2
+
+
 class TestInjectivityCheck:
     @pytest.mark.parametrize("factory", [J_minus_L, J_plus_L, J_plus_negL, J_minus_negL])
     def test_open_sets_clean(self, factory):
