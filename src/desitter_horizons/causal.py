@@ -25,7 +25,7 @@ from .manifold import (
     _complement,
     _unit_vectors,
 )
-from .minkowski import _form, boost
+from .minkowski import _form
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -150,6 +150,13 @@ def _past_margin(x1, t, r: float):
     return np.minimum(x1 - r, -t)
 
 
+def _past_margin_at(x1, t, psi: float, r: float):
+    """Margin of (x_1, t), floats or arrays, against the causal past of L(psi):
+    _past_margin of the x_1 and t rows of boost(-psi) applied to (x_1, t)."""
+    c, s = math.cosh(psi), math.sinh(psi)
+    return _past_margin(c * x1 - s * t, c * t - s * x1, r)
+
+
 def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
     """Is q in the causal past of p? Decided in p's canonical frame.
 
@@ -208,9 +215,7 @@ def sample_causal_past_canonical(
 ) -> np.ndarray:
     """Random events inside the canonical region {x_1 > R, t < 0} on S(R)."""
     r = ctx.radius
-    t = -rng.uniform(0.0, t_span * r, count)
-    x1_hi = np.sqrt(r**2 + t**2)
-    x1 = rng.uniform(r, x1_hi)
+    x1, t = _canonical_past_x1_t(ctx, count, rng, t_span)
     rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
     dirs = _unit_vectors(rng, count, ctx.n - 1)
     pts = np.empty((count, ctx.n + 1))
@@ -218,6 +223,15 @@ def sample_causal_past_canonical(
     pts[:, 1:-1] = dirs * rest_r[:, None]
     pts[:, -1] = t
     return pts
+
+
+def _canonical_past_x1_t(
+    ctx: SpacetimeContext, count: int, rng: np.random.Generator, t_span: float = 3.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (x_1, t) draws of sample_causal_past_canonical, in its order."""
+    t = -rng.uniform(0.0, t_span * ctx.radius, count)
+    x1 = rng.uniform(ctx.radius, np.sqrt(ctx.radius**2 + t**2))
+    return x1, t
 
 
 def sample_horizon(
@@ -257,14 +271,15 @@ def nesting_check(
     rng: np.random.Generator | None = None,
 ) -> SamplingReport:
     """Monotonicity of observer pasts: J^-(L(psi1)) lies inside J^-(L(psi2))
-    whenever psi1 < psi2. Returns the violation count over random samples."""
+    whenever psi1 < psi2. Returns the violation count over random samples.
+    The margins read only x_1 and t, and boosts move only those, so only the
+    (x_1, t) draws are made; boost(psi1) then boost(-psi2) is boost(psi1 -
+    psi2), applied as its cosh/sinh rows."""
     if not psi1 < psi2:
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
     rng = np.random.default_rng(0) if rng is None else rng
-    pts = sample_causal_past_canonical(ctx, samples, rng)
-    pts = pts @ boost(psi1, ctx.n).matrix.T
-    qc = pts @ boost(-psi2, ctx.n).matrix.T
-    margins = _past_margin(qc[:, 0], qc[:, -1], ctx.radius)
+    x1, t = _canonical_past_x1_t(ctx, samples, rng)
+    margins = _past_margin_at(x1, t, psi2 - psi1, ctx.radius)
     violations = int(np.sum(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
@@ -365,15 +380,9 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     """
     r = ctx.radius
     x1, t = float(q.point[0]), float(q.point[-1])
-
-    def margin(psi: float) -> float:
-        # The x_1 and t rows of boost(-psi) applied to q.
-        c, s = math.cosh(psi), math.sinh(psi)
-        return _past_margin(c * x1 - s * t, c * t - s * x1, r)
-
-    if margin(_PSI_MAX) <= 0.0:
+    if _past_margin_at(x1, t, _PSI_MAX, r) <= 0.0:
         raise ValueError("event is not inside the observed region J^-(L)")
-    if margin(-_PSI_MAX) > 0.0:
+    if _past_margin_at(x1, t, -_PSI_MAX, r) > 0.0:
         return -_PSI_MAX
     # margin(_PSI_MAX) > 0 forces x_1 - t > 0, so the logarithm is finite.
     u = x1 - t
@@ -384,7 +393,7 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     for k in range(_NUDGE_CAP):
         if psi >= _PSI_MAX:
             break
-        if margin(psi) > 0.0:
+        if _past_margin_at(x1, t, psi, r) > 0.0:
             return psi
         psi = start + step * 2.0**k
     return _PSI_MAX

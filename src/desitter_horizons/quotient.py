@@ -58,31 +58,32 @@ def injectivity_check(
 ) -> SamplingReport:
     """No antipodal pair meets an open causal half-space twice.
 
-    Samples events inside `region` and asserts the antipode falls outside.
+    Tests `samples` events inside `region`: each one's antipode must fall
+    outside. sample_hyperboloid is symmetric under e -> -e, so each draw e
+    yields the pair {e, -e}, and each member inside is tested against the
+    other's margin. Each draw is `samples` points, at most 200 draws.
     Hyperplanes (horizons) are rejected: they are centrally symmetric.
     """
     if region.hyperplane:
         raise ValueError("injectivity is only meaningful for open half-spaces")
     rng = np.random.default_rng(0) if rng is None else rng
     band = region.band
-    collected = 0
-    violations = 0
-    worst = np.inf
-    attempts = 0
-    while collected < samples:
-        attempts += 1
-        if attempts > 200:
-            raise RuntimeError("sampler failed to populate the region")
+    collected = violations = 0
+    worst = -np.inf
+    for _ in range(200):
         pts = sample_hyperboloid(ctx, samples, rng)
-        margins = region.margins(pts)
-        inside = pts[margins > band]
-        if inside.size == 0:
-            continue
-        inside = inside[: samples - collected]
-        anti_margins = region.margins(-inside)
-        violations += int(np.sum(anti_margins > -band))
-        worst = min(worst, float(anti_margins.max()))
-        collected += inside.shape[0]
+        margins, anti_margins = region.margins(pts), region.margins(-pts)
+        # The antipodes' margins of the pair members that fall inside.
+        tested = np.concatenate(
+            (anti_margins[margins > band], margins[anti_margins > band])
+        )[: samples - collected]
+        violations += int(np.sum(tested > -band))
+        worst = max(worst, float(tested.max(initial=-np.inf)))
+        collected += tested.size
+        if collected == samples:
+            break
+    else:
+        raise RuntimeError("sampler failed to populate the region")
     return SamplingReport(samples=collected, violations=violations, worst_margin=worst)
 
 

@@ -224,6 +224,24 @@ class TestNesting:
         with pytest.raises(ValueError):
             nesting_check(CTX, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("psi1, psi2", [(0.0, 1.0), (-2.0, -1.5), (1.0 - 1e-6, 1.0)])
+    def test_matches_matrix_route(self, n, radius, psi1, psi2):
+        # The (x_1, t) draws are the common prefix of both routes' streams.
+        # The two routes round differently: the matrix one on coordinates
+        # up to sqrt(10) R cosh(psi1) cosh(psi2), the closed form on one
+        # composed boost. So the margins agree to a few ulps of that size.
+        ctx = SpacetimeContext(radius=radius, n=n)
+        report = nesting_check(ctx, psi1, psi2, samples=3000, rng=np.random.default_rng(8))
+        pts = sample_causal_past_canonical(ctx, 3000, np.random.default_rng(8))
+        qc = pts @ boost(psi1, n).matrix.T @ boost(-psi2, n).matrix.T
+        margins = np.minimum(qc[:, 0] - radius, -qc[:, -1])
+        assert report.samples == 3000
+        assert report.violations == int(np.sum(margins < -ctx.tol * radius))
+        scale = np.finfo(float).eps * radius * math.cosh(psi1) * math.cosh(psi2)
+        assert report.worst_margin == pytest.approx(float(margins.min()), rel=0, abs=16 * scale)
+
 
 class TestHorizonLimit:
     def test_decreasing_residuals_match_closed_form(self):
@@ -521,6 +539,23 @@ def _set_gate_digest(count=100):
             for ti in (throat_intersection(ctx), throat_intersection(ctx, line)):
                 h.update(ti.plane_normal.tobytes())
     return h.hexdigest()
+
+
+class TestSamplerPin:
+    """sample_causal_past_canonical is pinned bit for bit over n in {2, 3, 6}
+    and R in {1e-3, 1, 1e3}. The digest was recorded before nesting_check
+    split the sampler's (x_1, t) draws into a helper of their own."""
+
+    DIGEST = "c47dd239bf902f2ccabc1296d58da92d372ced6a2dc050f80c22104f30dcf992"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for n in (2, 3, 6):
+            for k, r in enumerate((1e-3, 1.0, 1e3)):
+                ctx = SpacetimeContext(radius=r, n=n)
+                rng = np.random.default_rng([n, k, 7])
+                h.update(sample_causal_past_canonical(ctx, 200, rng).tobytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestCausalSetGate:

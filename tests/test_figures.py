@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import desitter_horizons
 from desitter_horizons.cli import main as cli_main
 from desitter_horizons.figures import build_scene, compactify, emit_csv, emit_svg
 from desitter_horizons.manifold import SpacetimeContext, on_hyperboloid
@@ -268,6 +270,10 @@ class TestCli:
         assert rc == 2
 
     def test_installed_entry_point(self, tmp_path):
+        # The child imports the package these tests import, also when only
+        # pytest's `pythonpath` setting put it on sys.path.
+        src = str(Path(desitter_horizons.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -281,6 +287,7 @@ class TestCli:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ep.csv").exists()

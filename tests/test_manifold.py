@@ -7,6 +7,7 @@ from desitter_horizons.manifold import (
     Event,
     SpacetimeContext,
     WorldLine,
+    _unit_vectors,
     canonical_worldline,
     canonicalize,
     event,
@@ -114,6 +115,26 @@ class TestSliceSphere:
         sl = slice_sphere(CTX, 0.7)
         pts = sl.sample(10_000, np.random.default_rng(1))
         assert all(on_hyperboloid(p, CTX) for p in pts)
+
+
+class _StubGenerator:
+    """Hands out fixed standard-normal draws, in order."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def standard_normal(self, shape):
+        d = self.draws.pop(0)
+        assert d.shape == shape
+        return d
+
+
+class TestUnitVectors:
+    def test_degenerate_draws_are_resampled(self):
+        rng = _StubGenerator([[0, 0], [3, 4], [1e-13, 0]], [[2, 0], [0, -5]])
+        dirs = _unit_vectors(rng, 3, 2)
+        np.testing.assert_array_equal(dirs, [[1, 0], [0.6, 0.8], [0, -1]])
+        assert rng.draws == []
 
 
 class TestCanonicalWorldline:

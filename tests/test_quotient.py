@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from desitter_horizons.causal import (
+    HalfSpaceSet,
     horizon_past,
     J_minus_L,
     J_minus_negL,
@@ -16,6 +17,7 @@ from desitter_horizons.manifold import (
     on_hyperboloid,
     sample_hyperboloid,
 )
+from desitter_horizons import quotient
 from desitter_horizons.minkowski import inner
 from desitter_horizons.quotient import (
     antipode,
@@ -100,6 +102,41 @@ class TestInjectivityCheck:
     def test_equality_region_rejected(self):
         with pytest.raises(ValueError):
             injectivity_check(horizon_past(CTX), CTX)
+
+    @pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 1e-3), (6, 1e3)])
+    def test_reports_pairs_inside_together(self, n, radius):
+        # x_1 - t > -R/2 holds for e and -e together wherever |x_1 - t| < R/2.
+        ctx = SpacetimeContext(radius=radius, n=n)
+        a = np.zeros(n + 1)
+        a[0], a[-1] = 1.0, -1.0
+        region = HalfSpaceSet(a, -0.5 * radius, ctx.tol * radius)
+        report = injectivity_check(region, ctx, samples=5000, rng=np.random.default_rng(3))
+        assert report.samples == 5000
+        assert report.violations > 0
+        assert report.worst_margin > 0.0
+
+    def test_sparse_region_takes_further_draws(self, monkeypatch):
+        # |x_1 - t| > 4R holds for few events with |t| <= 3R, so one draw of
+        # `samples` points cannot give every test; no pair is inside twice.
+        draws = []
+
+        def counted(ctx, count, rng):
+            draws.append(count)
+            return sample_hyperboloid(ctx, count, rng)
+
+        monkeypatch.setattr(quotient, "sample_hyperboloid", counted)
+        region = HalfSpaceSet((1.0, 0.0, -1.0), 4.0, CTX.tol)
+        report = injectivity_check(region, CTX, samples=2000, rng=np.random.default_rng(4))
+        assert report.samples == 2000
+        assert report.violations == 0
+        assert report.worst_margin < 0.0
+        assert len(draws) > 1 and set(draws) == {2000}
+
+    def test_empty_region_raises(self):
+        # The sampler keeps |t| <= 3R, so neither e nor -e has t > 10R.
+        region = HalfSpaceSet((0.0, 0.0, 1.0), 10.0, CTX.tol)
+        with pytest.raises(RuntimeError, match="failed to populate"):
+            injectivity_check(region, CTX, samples=100)
 
 
 class TestHorizonSymmetry:
