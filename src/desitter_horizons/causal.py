@@ -25,7 +25,7 @@ from .manifold import (
     _complement,
     _unit_vectors,
 )
-from .minkowski import _form
+from .minkowski import _form, _negligible, _norm
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -218,11 +218,7 @@ def sample_causal_past_canonical(
     x1, t = _canonical_past_x1_t(ctx, count, rng, t_span)
     rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
     dirs = _unit_vectors(rng, count, ctx.n - 1)
-    pts = np.empty((count, ctx.n + 1))
-    pts[:, 0] = x1
-    pts[:, 1:-1] = dirs * rest_r[:, None]
-    pts[:, -1] = t
-    return pts
+    return np.column_stack((x1, dirs * rest_r[:, None], t))
 
 
 def _canonical_past_x1_t(
@@ -249,11 +245,7 @@ def sample_horizon(
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
     dirs = _unit_vectors(rng, count, ctx.n - 1)
-    pts = np.empty((count, ctx.n + 1))
-    pts[:, 0] = -t if future else t
-    pts[:, 1:-1] = r * dirs
-    pts[:, -1] = t
-    return pts
+    return np.column_stack((-t if future else t, r * dirs, t))
 
 
 @dataclass(frozen=True)
@@ -321,10 +313,7 @@ class ThroatIntersection:
         # Orthonormal basis of the spatial plane orthogonal to the normal.
         basis = _complement(self.plane_normal)
         dirs = _unit_vectors(rng, count, basis.shape[0])
-        pts = np.empty((count, ctx.n + 1))
-        pts[:, :-1] = ctx.radius * dirs @ basis
-        pts[:, -1] = 0.0
-        return pts
+        return np.column_stack((ctx.radius * dirs @ basis, np.zeros(count)))
 
     def distance(self, point) -> float:
         """Great-circle distance on the throat sphere from the center event."""
@@ -351,17 +340,21 @@ def throat_intersection(
     psi_star = math.atanh(-p_t / (r * u_t))
     center_pt = line.at(psi_star)
     center_pt[-1] = 0.0  # exact throat membership despite rounding
-    center = Event(point=center_pt, context=ctx)
     # The horizon covector is the x_1 row minus the t row of the inverse
     # frame at the center. Their spatial parts are x/R and -u_x for the unit
     # tangent u = velocity(psi*) / R, so no frame needs to be built.
-    a_spatial = center.spatial / r + line.velocity(psi_star)[:-1] / r
+    x_term = center_pt[:-1] / r
+    u_term = line.velocity(psi_star)[:-1] / r
+    a_spatial = x_term + u_term
     norm = float(np.linalg.norm(a_spatial))
-    if norm <= ctx.tol:
+    if _negligible(norm, _norm(x_term) + _norm(u_term), ctx.tol, 2):
         raise ValueError("degenerate horizon plane")
+    # line.at cancels terms of size cosh(psi*), so project the center back
+    # onto |x| = R; hypot does not underflow at tiny R.
+    center_pt[:-1] *= r / math.hypot(*center_pt[:-1].tolist())
     return ThroatIntersection(
         context=ctx,
-        center=center,
+        center=Event(point=center_pt, context=ctx),
         plane_normal=a_spatial / norm,
         expected_distance=math.pi * r / 2.0,
     )

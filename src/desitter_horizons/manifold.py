@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minkowski import (
-    CausalClass,
+    EPS,
     Isometry,
     TimeDirection,
     _as_vector,
-    _classify,
     _form,
+    _negligible,
     _norm,
     _time_direction,
 )
@@ -31,7 +31,7 @@ class SpacetimeContext:
 
     radius: float = 1.0
     n: int = 2
-    tol: float = 1e-9
+    tol: float = EPS
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
@@ -55,11 +55,14 @@ def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
 
 def _member(v: np.ndarray, ctx: SpacetimeContext) -> bool:
     r2 = ctx.radius**2
-    return abs(_form(v, v) - r2) <= ctx.tol * r2
+    t = float(v[-1])
+    # The two partial sums of <v, v>, as _form computes them.
+    space, time = float(v[:-1] @ v[:-1]), t * t
+    return _negligible(space - time - r2, space + time + r2, ctx.tol, v.size + 1)
 
 
 def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
-    """Membership test |<v, v> - R^2| <= tol * R^2."""
+    """Membership: |<v, v> - R^2| <= max(tol, gamma) (|x|^2 + t^2 + R^2)."""
     return _member(_as_point(v, ctx), ctx)
 
 
@@ -131,13 +134,11 @@ class SliceSphere:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform events on the slice, shape (count, n+1)."""
         dirs = _unit_vectors(rng, count, self.context.n)
-        pts = np.empty((count, self.context.n + 1))
-        pts[:, :-1] = self.spatial_radius * dirs
-        pts[:, -1] = self.t
-        return pts
+        return np.column_stack((self.spatial_radius * dirs, np.full(count, self.t)))
 
     def contains(self, e: Event) -> bool:
-        return abs(e.t - self.t) <= self.context.tol * max(1.0, self.context.radius)
+        """|t(e) - t| <= max(tol, gamma) |e|_E, where |e|_E >= R and |t(e)|."""
+        return _negligible(e.t - self.t, _norm(e.point), self.context.tol, 2)
 
 
 def slice_sphere(ctx: SpacetimeContext, c: float) -> SliceSphere:
@@ -166,10 +167,21 @@ def sample_hyperboloid(
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
     dirs = _unit_vectors(rng, count, ctx.n)
-    pts = np.empty((count, ctx.n + 1))
-    pts[:, :-1] = dirs * np.sqrt(r**2 + t**2)[:, None]
-    pts[:, -1] = t
-    return pts
+    return np.column_stack((dirs * np.sqrt(r**2 + t**2)[:, None], t))
+
+
+def _check_direction(p: Event, u: np.ndarray, uu: float, name: str, kind: str) -> None:
+    """Raise ValueError unless u has p's dimension, <u, u> = uu and <p, u> = 0,
+    each to p's ctx.tol relative to its terms (|u|_E^2 + |uu|, |p|_E |u|_E)."""
+    ctx = p.context
+    if u.size != ctx.n + 1:
+        raise ValueError(f"{name} dimension does not match the base event")
+    nu = _norm(u)
+    q = _form(u, u)
+    if not _negligible(q - uu, nu * nu + abs(uu), ctx.tol, u.size + 1):
+        raise ValueError(f"{name} is not {kind}: <u,u> = {q}")
+    if not _negligible(_form(p.point, u), nu * _norm(p.point), ctx.tol, u.size):
+        raise ValueError(f"{name} is not tangent to the hyperboloid at the base")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +199,7 @@ class WorldLine:
     def __post_init__(self):
         u = _as_vector(self.tangent).copy()
         object.__setattr__(self, "tangent", u)
-        ctx = self.base.context
-        if u.size != ctx.n + 1:
-            raise ValueError("tangent dimension does not match the base event")
-        nu = _norm(u)
-        uu = _form(u, u)
-        if abs(uu + 1.0) > 1e-7 * max(1.0, nu**2):
-            raise ValueError(f"tangent is not unit timelike: <u,u> = {uu}")
-        mixed_scale = max(1.0, nu * _norm(self.base.point))
-        if abs(_form(self.base.point, u)) > 1e-7 * mixed_scale:
-            raise ValueError("tangent is not tangent to the hyperboloid at the base")
+        _check_direction(self.base, u, -1.0, "tangent", "unit timelike")
         if _time_direction(u) is not TimeDirection.FUTURE:
             raise ValueError("tangent must be future directed")
 
@@ -294,15 +297,7 @@ class NullRay:
 def null_ray(p0: Event, u) -> NullRay:
     """Construct a ruling through p0; u must be null, nonzero, and tangent."""
     u = _as_vector(u)
-    ctx = p0.context
-    if u.size != ctx.n + 1:
-        raise ValueError("direction dimension does not match the base event")
-    nu = _norm(u)
-    if nu <= ctx.tol:
+    _check_direction(p0, u, 0.0, "direction", "null")
+    if not u.any():
         raise ValueError("direction must be nonzero")
-    if _classify(u) is not CausalClass.NULL:
-        raise ValueError(f"direction is not null: <u,u> = {_form(u, u)}")
-    mixed_scale = max(1.0, nu * _norm(p0.point))
-    if abs(_form(p0.point, u)) > ctx.tol * mixed_scale:
-        raise ValueError("direction is not tangent to the hyperboloid at the base")
     return NullRay(base=p0, direction=u.copy())

@@ -8,16 +8,17 @@ Time orientation is fixed by the constant field (0, ..., 0, 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-# Absolute threshold for sign decisions on form values, scaled by the
-# Euclidean magnitudes of the operands (robust near the null cone). It does
-# not decide Zero: only the exact zero vector is Zero, the one choice that
-# every isometry preserves, so tiny nonzero vectors fall in the Null band.
+# Relative width of classify's Null band, |<v, v>| <= EPS |v|_E^2, and the
+# default SpacetimeContext.tol. Only the exact zero vector is Zero, the one
+# choice that every isometry preserves.
 EPS = 1e-9
+_GAMMA_PER_TERM = 4.0 * sys.float_info.epsilon
 
 
 class CausalClass(Enum):
@@ -61,6 +62,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _negligible(residual: float, magnitude: float, tol: float, terms: int) -> bool:
+    """|residual| <= max(tol, gamma) * magnitude, where `magnitude` bounds the
+    sum of the absolute sizes of the `terms` summands of `residual`. gamma =
+    4 * terms * eps, so tol = 0 still allows the rounding of the sum: summing
+    `terms` float products errs by at most 0.51 * terms * eps of the magnitude
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1), and
+    the rest covers inputs that are a few roundings deep."""
+    return abs(residual) <= max(tol, terms * _GAMMA_PER_TERM) * magnitude
+
+
 def inner(u, v) -> float:
     """Lorentz bilinear form of two vectors of equal dimension."""
     u = _as_vector(u)
@@ -71,11 +82,16 @@ def inner(u, v) -> float:
 
 
 def _classify(v: np.ndarray) -> CausalClass:
-    if not v.any():
+    size = math.hypot(*v.tolist())  # |v|_E; hypot scales, so no underflow
+    if size == 0.0:
         return CausalClass.ZERO
+    if not sys.float_info.min <= size * size <= sys.float_info.max:
+        # An exact power of two takes the largest entry into [1/2, 1), where
+        # the terms of <v, v> cannot overflow and their sum is normal.
+        v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+        size = math.hypot(*v.tolist())
     q = _form(v, v)
-    nv = _norm(v)
-    if abs(q) <= EPS * max(1.0, nv * nv):
+    if _negligible(q, size * size, EPS, v.size):
         return CausalClass.NULL
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 

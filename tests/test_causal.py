@@ -292,6 +292,30 @@ class TestThroatIntersection:
         ti = throat_intersection(CTX)
         assert ti == ti and ti != throat_intersection(CTX)
 
+    @pytest.mark.parametrize("psi", [8.0, -8.0, 12.0, -12.0])
+    def test_large_base_rapidity(self, psi):
+        # The line of TestCanonicalize::test_rapidity_12_line, based at psi.
+        # line.at(psi*) cancels terms of size cosh(psi), so the center is
+        # projected onto the throat sphere; it stays within a few
+        # eps * cosh(psi)^2 of the exact crossing iso(cosh psi_c, 0, sinh psi_c),
+        # where tanh psi_c = -tanh(1) cos(0.8) makes its t vanish.
+        canon = canonical_worldline(CTX)
+        iso = (
+            spatial_rotation((1, 2), 0.3)
+            .compose(boost(1.0))
+            .compose(spatial_rotation((1, 2), 0.8))
+        )
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.at(psi)), context=CTX),
+            tangent=iso.apply(canon.velocity(psi)),
+        )
+        ti = throat_intersection(CTX, line)
+        exact = iso.apply(canon.at(math.atanh(-math.tanh(1.0) * math.cos(0.8))))
+        assert ti.center.t == 0.0
+        assert ti.center.spatial @ ti.center.spatial == pytest.approx(1.0, abs=4e-16)
+        gap = np.abs(ti.center.point - exact).max()
+        assert gap <= 4 * np.finfo(float).eps * math.cosh(psi) ** 2
+
     def test_general_worldline(self):
         ctx = SpacetimeContext(radius=2.5, n=2)
         rng = np.random.default_rng(9)
@@ -306,6 +330,43 @@ class TestThroatIntersection:
         for p in ti.sample(100, rng):
             assert on_hyperboloid(p, ctx)
             assert ti.distance(p) == pytest.approx(math.pi * 2.5 / 2, abs=1e-9)
+
+
+class TestLargeTime:
+    """Events far along the time axis, up to |t| = 1e6 R: sample_hyperboloid's
+    own events are Events, and the frame route builds their world line.
+
+    Only that the verdicts are computed is asserted: from t_span ~ 1e4 the
+    rounding of the apex margin, ~eps |p|^2 / R, exceeds the band tol * R."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_sampled_events_round_trip(self, n):
+        for r in (1e-3, 1.0, 1e3):
+            ctx = SpacetimeContext(radius=r, n=n)
+            for t_span in (1e3, 3e3, 1e4, 1e6):
+                rng = np.random.default_rng([n, int(t_span), 8])
+                for p in sample_hyperboloid(ctx, 200, rng, t_span=t_span):
+                    e = Event(point=p, context=ctx)
+                    causal_past_of_event(e, e)
+
+
+class TestZeroTolerance:
+    """tol = 0 means exact up to the rounding of the form: the frame route
+    runs on exact events, whose orientation field is rounded."""
+
+    POINTS = [(1, 1, 1), (1, -1, 1), (1, 2, 2), (2, 1, -2), (0.6, 0.8, 0), (5, 5, 7)]
+
+    def test_frame_route_on_exact_events(self):
+        ctx = SpacetimeContext(tol=0.0)
+        events = [event(ctx, *pt) for pt in self.POINTS]
+        for p in events:
+            for q in events:
+                for frame, chord in (
+                    (causal_past_of_event(q, p), chord_oracle_past(p, q)),
+                    (causal_future_of_event(q, p), chord_oracle(p, q)),
+                ):
+                    if abs(chord.margin) > 1e-12:
+                        assert frame.region is chord.region
 
 
 class TestUnionProperty:

@@ -116,6 +116,14 @@ class TestSliceSphere:
         pts = sl.sample(10_000, np.random.default_rng(1))
         assert all(on_hyperboloid(p, CTX) for p in pts)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_contains_is_unit_consistent(self, radius):
+        # The band is tol * |e|_E, so the R-scaled event gets one answer.
+        ctx = SpacetimeContext(radius=radius)
+        throat = slice_sphere(ctx, 0.0)
+        assert not throat.contains(event(ctx, radius, 0.0, 5e-9 * radius))
+        assert throat.contains(event(ctx, radius, 0.0, 5e-10 * radius))
+
 
 class _StubGenerator:
     """Hands out fixed standard-normal draws, in order."""
@@ -161,6 +169,14 @@ class TestCanonicalWorldline:
             WorldLine(base=event(CTX, 1, 0, 0), tangent=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             WorldLine(base=event(CTX, 1, 0, 0), tangent=np.array([0.0, 0.0, -1.0]))
+
+    def test_tangent_held_to_context_tolerance(self):
+        # <u, u> = -1 - 2e-8: inside tol = 1e-7, outside the default 1e-9.
+        u = np.array([0.0, 0.0, 1.0 + 1e-8])
+        with pytest.raises(ValueError, match="unit timelike"):
+            WorldLine(base=event(CTX, 1, 0, 0), tangent=u)
+        loose = SpacetimeContext(tol=1e-7)
+        WorldLine(base=event(loose, 1, 0, 0), tangent=u)
 
 
 class TestOrientationField:
@@ -304,6 +320,19 @@ class TestNullRay:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             null_ray(event(CTX, 0, 1, 0), (0, 0, 0))
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_short_direction_accepted(self, radius):
+        # Only the exact zero vector is zero; a short null direction is fine.
+        ctx = SpacetimeContext(radius=radius)
+        u = 1e-7 * radius * np.array([1.0, 0.0, 1.0])
+        ray = null_ray(event(ctx, 0.0, radius, 0.0), u)
+        np.testing.assert_array_equal(ray.direction, u)
+
+    def test_rounded_null_direction_at_zero_tolerance(self):
+        # Null and tangent up to the rounding of 0.6 and 0.8.
+        ctx = SpacetimeContext(tol=0.0)
+        null_ray(event(ctx, 0.8, -0.6, 0.0), (0.6, 0.8, 1.0))
 
 
 class TestDimensionGenerality:

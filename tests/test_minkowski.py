@@ -72,6 +72,23 @@ class TestClassify:
     def test_scaled_null_stays_null(self):
         assert classify(1e6 * np.array([1.0, 0.0, 1.0])) is CausalClass.NULL
 
+    @pytest.mark.parametrize("k", [60, -60, 600, -600])
+    def test_power_of_two_scaling(self, k):
+        # The Null band is relative, and |v|^2 is formed at unit scale when it
+        # would leave the normal range, so scaling by 2^k changes nothing.
+        rng = np.random.default_rng(5)
+        vs = rng.standard_normal((300, 3))
+        # Every third vector sits on the cone, up to the rounding of hypot.
+        vs[::3, -1] = np.copysign(np.hypot(vs[::3, 0], vs[::3, 1]), vs[::3, -1])
+        for v in vs:
+            assert classify(np.ldexp(v, k)) is classify(v)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        assert classify(scale * np.array([1.0, 0.0, 2.0])) is CausalClass.TIMELIKE
+        assert classify(scale * np.array([2.0, 0.0, 1.0])) is CausalClass.SPACELIKE
+        assert classify(scale * np.array([1.0, 0.0, 1.0])) is CausalClass.NULL
+
 
 class TestTimeDirection:
     @pytest.mark.parametrize(
@@ -239,6 +256,10 @@ class TestIsometryInvariance:
 
     @given(v=vec3, psi=st.floats(-3, 3))
     @example(v=np.array([0.0, 0.0, 1e-9]), psi=1.0)
+    @example(v=np.ldexp([0.3, 0.1, 2.0], 600), psi=1.0)
+    @example(v=np.ldexp([0.3, 0.1, 2.0], -600), psi=1.0)
+    @example(v=np.ldexp([2.0, 0.1, 0.3], 600), psi=-2.0)
+    @example(v=np.ldexp([2.0, 0.1, 0.3], -600), psi=-2.0)
     @settings(max_examples=50)
     def test_classification_invariance(self, v, psi):
         iso = boost(psi)
