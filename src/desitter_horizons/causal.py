@@ -177,7 +177,8 @@ def causal_future_of_event(q: Event, p: Event) -> CausalVerdict:
 def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
-    frame = canonicalize(WorldLine(base=p, tangent=orientation_field(p)))
+    # orientation_field(p) is future unit timelike and tangent at p already.
+    frame = canonicalize(WorldLine._exact(p, orientation_field(p)))
     qc = frame.inverse().matrix @ q.point
     margin = _past_margin(qc[0], time_sign * qc[-1], ctx.radius)
     return _verdict(float(margin), ctx.tol * ctx.radius)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,16 +35,23 @@ class SpacetimeContext:
     tol: float = EPS
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        # orientation_field divides by R |x| >= R^2, and membership at the
+        # throat sums |x|^2 + R^2 = 2 R^2: both must be finite and normal.
+        r = self.radius
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"radius must be finite and positive, got {r}")
+        r2 = float(r) * float(r)
+        if not (sys.float_info.min <= r2 and 2.0 * r2 <= sys.float_info.max):
+            raise ValueError(f"2 R^2 is not finite or R^2 is not normal for radius {r}")
         try:
             object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise ValueError(f"spatial dimension must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+        # At tol >= 1 membership accepts the origin, where orientation_field is 0/0.
+        if not 0.0 <= self.tol < 1.0:
+            raise ValueError(f"tol must be in [0, 1), got {self.tol}")
 
 
 def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
@@ -85,18 +93,22 @@ class Event:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        return self.context == other.context and np.array_equal(self.point, other.point)
+        a, b = self.point, other.point
+        same = self.context is other.context or self.context == other.context
+        return same and a.shape == b.shape and bool((a == b).all())
 
     def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal.
+        # + 0.0 maps -0.0 to 0.0, which == treats as equal.
         return hash((self.context, (self.point + 0.0).tobytes()))
 
     @classmethod
     def _exact(cls, point: np.ndarray, context: SpacetimeContext) -> "Event":
-        """Wrap a fresh array that is exactly an event's point or its negation.
+        """Wrap a fresh array that is exactly an event's point or its negation,
+        or the throat point (R, 0, ..., 0).
 
-        Negation is exact and <-x, -x> equals <x, x> bit for bit, so such a
-        point is certified already; the Event takes ownership of `point`.
+        Negation is exact and <-x, -x> equals <x, x> bit for bit, and the
+        throat point's residual is exactly 0, so such a point is certified
+        already; the Event takes ownership of `point`.
         """
         e = object.__new__(cls)
         object.__setattr__(e, "point", point)
@@ -203,6 +215,15 @@ class WorldLine:
         if _time_direction(u) is not TimeDirection.FUTURE:
             raise ValueError("tangent must be future directed")
 
+    @classmethod
+    def _exact(cls, base: Event, tangent: np.ndarray) -> "WorldLine":
+        """Wrap a fresh tangent that is future unit timelike and tangent at
+        `base` by construction; the WorldLine takes ownership of it."""
+        line = object.__new__(cls)
+        object.__setattr__(line, "base", base)
+        object.__setattr__(line, "tangent", tangent)
+        return line
+
     @property
     def context(self) -> SpacetimeContext:
         return self.base.context
@@ -231,7 +252,7 @@ def canonical_worldline(ctx: SpacetimeContext) -> WorldLine:
     p[0] = ctx.radius
     u = np.zeros(ctx.n + 1)
     u[-1] = 1.0
-    return WorldLine(base=Event(point=p, context=ctx), tangent=u)
+    return WorldLine._exact(Event._exact(p, ctx), u)
 
 
 def orientation_field(e: Event) -> np.ndarray:

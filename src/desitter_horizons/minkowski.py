@@ -68,8 +68,9 @@ def _negligible(residual: float, magnitude: float, tol: float, terms: int) -> bo
     4 * terms * eps, so tol = 0 still allows the rounding of the sum: summing
     `terms` float products errs by at most 0.51 * terms * eps of the magnitude
     (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1), and
-    the rest covers inputs that are a few roundings deep."""
-    return abs(residual) <= max(tol, terms * _GAMMA_PER_TERM) * magnitude
+    the rest covers inputs that are a few roundings deep. An overflowed
+    magnitude certifies nothing."""
+    return abs(residual) <= max(tol, terms * _GAMMA_PER_TERM) * magnitude < math.inf
 
 
 def inner(u, v) -> float:

@@ -38,7 +38,7 @@ def _normalized_coords(coords: np.ndarray, ctx: SpacetimeContext) -> np.ndarray:
     # Flip the sign iff the first coordinate of non-negligible magnitude is
     # negative; negation of floats is exact, so e and -e normalize identically.
     guard = ctx.tol * ctx.radius
-    for c in coords:
+    for c in coords.tolist():
         if abs(c) > guard:
             return -coords if c < 0.0 else coords.copy()
     return coords.copy()
@@ -72,7 +72,9 @@ def injectivity_check(
     worst = -np.inf
     for _ in range(200):
         pts = sample_hyperboloid(ctx, samples, rng)
-        margins, anti_margins = region.margins(pts), region.margins(-pts)
+        # margins(-pts) is -s - c bit for bit: negation is exact.
+        s = pts @ region.covector
+        margins, anti_margins = s - region.threshold, -s - region.threshold
         # The antipodes' margins of the pair members that fall inside.
         tested = np.concatenate(
             (anti_margins[margins > band], margins[anti_margins > band])

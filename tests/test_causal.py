@@ -350,6 +350,25 @@ class TestLargeTime:
                     causal_past_of_event(e, e)
 
 
+class TestRadiusRange:
+    """Radii at the edges of the range SpacetimeContext accepts give finite
+    verdicts on both routes, and the routes agree outside the band."""
+
+    @pytest.mark.parametrize("radius", [1.5e-154, 1e-150, 1e150, 9e153])
+    def test_edge_radii_give_finite_verdicts(self, radius):
+        ctx = SpacetimeContext(radius=radius, n=3)
+        rng = np.random.default_rng(10)
+        events = [Event(point=p, context=ctx) for p in sample_hyperboloid(ctx, 100, rng, 0.2)]
+        for p, q in zip(events, events[1:] + events[:1]):
+            for frame, chord in (
+                (causal_past_of_event(q, p), chord_oracle_past(p, q)),
+                (causal_future_of_event(q, p), chord_oracle(p, q)),
+            ):
+                assert math.isfinite(frame.margin) and math.isfinite(chord.margin)
+                if abs(chord.margin) > 1e-7 * radius**2:
+                    assert frame.region is chord.region
+
+
 class TestZeroTolerance:
     """tol = 0 means exact up to the rounding of the form: the frame route
     runs on exact events, whose orientation field is rounded."""

@@ -18,6 +18,7 @@ from desitter_horizons.manifold import (
     slice_sphere,
 )
 from desitter_horizons.minkowski import (
+    EPS,
     CausalClass,
     TimeDirection,
     boost,
@@ -46,6 +47,12 @@ class TestOnHyperboloid:
         with pytest.raises(ValueError):
             event(CTX, 0.5, 0.0, 0.0)
 
+    def test_overflowing_point_rejected(self):
+        # <v, v> and its magnitude overflow to inf, which certifies nothing.
+        with np.errstate(over="ignore"):
+            assert not on_hyperboloid((1e200, 0, 0), CTX)
+            assert not on_hyperboloid((1.2e154, 0, 0), SpacetimeContext(radius=9e153))
+
 
 class TestContextValidation:
     @pytest.mark.parametrize(
@@ -62,6 +69,12 @@ class TestContextValidation:
             {"n": 2.5},
             {"n": 3.0},
             {"n": math.nan},
+            {"radius": 1e-200},
+            {"radius": 1e-160},
+            {"radius": 1e154},
+            {"radius": 1e155},
+            {"radius": 1e200},
+            {"tol": 1.0},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
@@ -88,8 +101,12 @@ class TestEventEquality:
         assert event(CTX, 1, 0, 0) != event(SpacetimeContext(tol=1e-6), 1, 0, 0)
         assert event(CTX, 1, 0, 0) != (1.0, 0.0, 0.0)
 
+    def test_shape_mismatch_is_unequal(self):
+        longer = Event._exact(np.array([1.0, 0.0, 0.0, 0.0]), CTX)
+        assert longer != event(CTX, 1, 0, 0) and event(CTX, 1, 0, 0) != longer
+
     def test_hash_agrees_with_equality(self):
-        # array_equal counts -0.0 and 0.0 as equal, so the hash must too.
+        # == counts -0.0 and 0.0 as equal, so the hash must too.
         a, b = event(CTX, 0.0, 1.0, 0.0), event(CTX, -0.0, 1.0, -0.0)
         assert a == b and hash(a) == hash(b)
         assert len({a, b, event(CTX, 1, 0, 0)}) == 2
@@ -201,6 +218,40 @@ class TestOrientationField:
             factor = v[-1] / y[-1]
             assert factor > 0
             np.testing.assert_allclose(v, factor * y, atol=1e-9 * max(1.0, factor))
+
+
+def _invariant_events(n):
+    """Sampled events over R in {1.5e-154, 1e-3, 1, 1e3, 1e150} and tol in
+    {EPS, 0}, at t_span 2 for every R and up to 1e6 for R <= 1e3."""
+    for radius in (1.5e-154, 1e-3, 1.0, 1e3, 1e150):
+        spans = (2.0, 1e2, 1e4, 1e6) if radius <= 1e3 else (2.0,)
+        for tol in (EPS, 0.0):
+            ctx = SpacetimeContext(radius=radius, n=n, tol=tol)
+            for t_span in spans:
+                rng = np.random.default_rng([n, int(t_span), 9])
+                for p in sample_hyperboloid(ctx, 60, rng, t_span=t_span):
+                    yield Event(point=p, context=ctx)
+
+
+class TestUncheckedWorldLines:
+    """The frame route and canonical_worldline build their lines without
+    WorldLine's checks; the checked constructor accepts what they build."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_orientation_field_passes_worldline_checks(self, n):
+        for p in _invariant_events(n):
+            WorldLine(base=p, tangent=orientation_field(p))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_canonical_worldline_passes_checks(self, n):
+        for radius in (1.5e-154, 1e-3, 1.0, 1e3, 1e150, 9e153):
+            for tol in (EPS, 0.0):
+                ctx = SpacetimeContext(radius=radius, n=n, tol=tol)
+                line = canonical_worldline(ctx)
+                base = Event(point=line.base.point, context=ctx)
+                checked = WorldLine(base=base, tangent=line.tangent)
+                assert checked.base == line.base
+                np.testing.assert_array_equal(checked.tangent, line.tangent)
 
 
 def _random_worldline(ctx, rng, psi_max=2.0):

@@ -3,6 +3,7 @@ import pytest
 
 from desitter_horizons.causal import (
     HalfSpaceSet,
+    SamplingReport,
     horizon_past,
     J_minus_L,
     J_minus_negL,
@@ -183,3 +184,41 @@ class TestExactNegation:
             antipode(e).point[:] = 7.0
             quotient_rep(e).representative.point[:] = 7.0
             np.testing.assert_array_equal(e.point, before)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("factory", [J_minus_L, J_plus_L, J_plus_negL, J_minus_negL])
+    def test_antipodal_margins_are_negated_products(self, factory, n):
+        # injectivity_check reads margins(-pts) as -(pts @ a) - c.
+        ctx = SpacetimeContext(radius=1.0, n=n)
+        region = factory(ctx)
+        for t_span in (2.0, 1e2, 3e2):
+            pts = sample_hyperboloid(ctx, 500, np.random.default_rng([n, int(t_span), 62]), t_span)
+            expected = -(pts @ region.covector) - region.threshold
+            assert region.margins(-pts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("factory", [J_minus_L, J_plus_L, J_plus_negL, J_minus_negL])
+    def test_injectivity_report_matches_two_product_reference(self, factory, n):
+        ctx = SpacetimeContext(radius=1.0, n=n)
+        region = factory(ctx)
+        report = injectivity_check(region, ctx, samples=3000, rng=np.random.default_rng(n))
+        assert report == _two_product_injectivity(region, ctx, 3000, np.random.default_rng(n))
+
+
+def _two_product_injectivity(region, ctx, samples, rng):
+    """injectivity_check with the antipodes' margins as a second product."""
+    band = region.band
+    collected = violations = 0
+    worst = -np.inf
+    for _ in range(200):
+        pts = sample_hyperboloid(ctx, samples, rng)
+        margins, anti_margins = region.margins(pts), region.margins(-pts)
+        tested = np.concatenate(
+            (anti_margins[margins > band], margins[anti_margins > band])
+        )[: samples - collected]
+        violations += int(np.sum(tested > -band))
+        worst = max(worst, float(tested.max(initial=-np.inf)))
+        collected += tested.size
+        if collected == samples:
+            break
+    return SamplingReport(samples=collected, violations=violations, worst_margin=worst)
