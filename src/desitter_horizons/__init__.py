@@ -36,11 +36,9 @@ from .manifold import (
     canonical_worldline,
     canonicalize,
     event,
-    null_ray,
     on_hyperboloid,
     orientation_field,
     sample_hyperboloid,
-    slice_sphere,
 )
 from .minkowski import (
     CausalClass,

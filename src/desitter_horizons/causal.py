@@ -47,6 +47,12 @@ class CausalVerdict:
     margin: float
 
 
+def _check_context(ctx: SpacetimeContext, other: SpacetimeContext) -> None:
+    # The identity test spares the field comparison for one shared context.
+    if other is not ctx and other != ctx:
+        raise ValueError(f"arguments from different spacetimes: {ctx} and {other}")
+
+
 def _verdict(margin: float, band: float, open_only: bool = False) -> CausalVerdict:
     if abs(margin) <= band:
         return CausalVerdict(Region.BOUNDARY, margin)
@@ -177,6 +183,7 @@ def causal_future_of_event(q: Event, p: Event) -> CausalVerdict:
 def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
+    _check_context(ctx, q.context)
     # orientation_field(p) is future unit timelike and tangent at p already.
     frame = canonicalize(WorldLine._exact(p, orientation_field(p)))
     qc = frame.inverse().matrix @ q.point
@@ -201,6 +208,7 @@ def chord_oracle_past(p: Event, q: Event) -> CausalVerdict:
 
 def _chord_verdict(p: Event, q: Event, time_sign: float) -> CausalVerdict:
     ctx = p.context
+    _check_context(ctx, q.context)
     c = _form(p.point, q.point) - ctx.radius**2
     dt = time_sign * float(q.point[-1] - p.point[-1])
     # Wrong time order dominates the margin once the chord points pastward.
@@ -209,24 +217,22 @@ def _chord_verdict(p: Event, q: Event, time_sign: float) -> CausalVerdict:
 
 
 def sample_causal_past_canonical(
-    ctx: SpacetimeContext,
-    count: int,
-    rng: np.random.Generator,
-    t_span: float = 3.0,
+    ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random events inside the canonical region {x_1 > R, t < 0} on S(R)."""
+    """Random events inside the canonical region {x_1 > R, t < 0} on S(R),
+    with t uniform in [-3R, 0]."""
     r = ctx.radius
-    x1, t = _canonical_past_x1_t(ctx, count, rng, t_span)
+    x1, t = _canonical_past_x1_t(ctx, count, rng)
     rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
     dirs = _unit_vectors(rng, count, ctx.n - 1)
     return np.column_stack((x1, dirs * rest_r[:, None], t))
 
 
 def _canonical_past_x1_t(
-    ctx: SpacetimeContext, count: int, rng: np.random.Generator, t_span: float = 3.0
+    ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (x_1, t) draws of sample_causal_past_canonical, in its order."""
-    t = -rng.uniform(0.0, t_span * ctx.radius, count)
+    t = -rng.uniform(0.0, 3.0 * ctx.radius, count)
     x1 = rng.uniform(ctx.radius, np.sqrt(ctx.radius**2 + t**2))
     return x1, t
 
@@ -291,6 +297,7 @@ def horizon_limit_check(ctx: SpacetimeContext, q: Event, psis) -> np.ndarray:
     for x_1 = t >= 0 it decreases strictly to zero, exhibiting the horizon as
     the limiting cone position.
     """
+    _check_context(ctx, q.context)
     if horizon_past(ctx).verdict(q.point).region is not Region.BOUNDARY:
         raise ValueError("event is not on the past horizon x_1 = t")
     psis = np.asarray(psis, dtype=float)
@@ -303,18 +310,23 @@ class ThroatIntersection:
     """The past horizon's trace on the throat slice: an intrinsic sphere of
     radius pi R / 2 about the observer's throat event."""
 
-    context: SpacetimeContext
     center: Event
     plane_normal: np.ndarray  # spatial covector of the horizon plane, unit
-    expected_distance: float
+
+    @property
+    def context(self) -> SpacetimeContext:
+        return self.center.context
+
+    @property
+    def expected_distance(self) -> float:
+        return math.pi * self.context.radius / 2.0
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Events on the intersection set {a . x = 0, t = 0, |x| = R}."""
-        ctx = self.context
         # Orthonormal basis of the spatial plane orthogonal to the normal.
         basis = _complement(self.plane_normal)
         dirs = _unit_vectors(rng, count, basis.shape[0])
-        return np.column_stack((ctx.radius * dirs @ basis, np.zeros(count)))
+        return np.column_stack((self.context.radius * dirs @ basis, np.zeros(count)))
 
     def distance(self, point) -> float:
         """Great-circle distance on the throat sphere from the center event."""
@@ -333,8 +345,8 @@ def throat_intersection(
     in the line's canonical frame pulls back to a hyperplane through the
     origin, whose t = 0 section is an intrinsic sphere of radius pi R / 2.
     """
-    if line is None:
-        line = canonical_worldline(ctx)
+    line = canonical_worldline(ctx) if line is None else line
+    _check_context(ctx, line.context)
     r = ctx.radius
     p_t = float(line.base.point[-1])
     u_t = float(line.tangent[-1])
@@ -354,10 +366,7 @@ def throat_intersection(
     # onto |x| = R; hypot does not underflow at tiny R.
     center_pt[:-1] *= r / math.hypot(*center_pt[:-1].tolist())
     return ThroatIntersection(
-        context=ctx,
-        center=Event(point=center_pt, context=ctx),
-        plane_normal=a_spatial / norm,
-        expected_distance=math.pi * r / 2.0,
+        center=Event(point=center_pt, context=ctx), plane_normal=a_spatial / norm
     )
 
 
@@ -372,6 +381,7 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     ulp * 2^k (k = 0, 1, ...) until it is positive. Raises if q is not an
     observed event of the eternal observer.
     """
+    _check_context(ctx, q.context)
     r = ctx.radius
     x1, t = float(q.point[0]), float(q.point[-1])
     if _past_margin_at(x1, t, _PSI_MAX, r) <= 0.0:

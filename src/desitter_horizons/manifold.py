@@ -140,6 +140,8 @@ class SliceSphere:
     spatial_radius: float = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"slice time must be finite, got {self.t}")
         r = math.hypot(self.context.radius, self.t)
         object.__setattr__(self, "spatial_radius", r)
 
@@ -151,10 +153,6 @@ class SliceSphere:
     def contains(self, e: Event) -> bool:
         """|t(e) - t| <= max(tol, gamma) |e|_E, where |e|_E >= R and |t(e)|."""
         return _negligible(e.t - self.t, _norm(e.point), self.context.tol, 2)
-
-
-def slice_sphere(ctx: SpacetimeContext, c: float) -> SliceSphere:
-    return SliceSphere(context=ctx, t=c)
 
 
 def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -238,21 +236,15 @@ class WorldLine:
         return math.sinh(psi) * self.base.point + r * math.cosh(psi) * self.tangent
 
     def sample(self, psis) -> np.ndarray:
-        psis = np.asarray(psis, dtype=float)
+        psis = np.asarray(psis, dtype=float)[:, None]
         r = self.context.radius
-        return (
-            np.cosh(psis)[:, None] * self.base.point[None, :]
-            + r * np.sinh(psis)[:, None] * self.tangent[None, :]
-        )
+        return np.cosh(psis) * self.base.point + r * np.sinh(psis) * self.tangent
 
 
 def canonical_worldline(ctx: SpacetimeContext) -> WorldLine:
     """The boost orbit through (R, 0, ..., 0) with tangent (0, ..., 0, 1)."""
-    p = np.zeros(ctx.n + 1)
-    p[0] = ctx.radius
-    u = np.zeros(ctx.n + 1)
-    u[-1] = 1.0
-    return WorldLine._exact(Event._exact(p, ctx), u)
+    eye = np.eye(ctx.n + 1)
+    return WorldLine._exact(Event._exact(ctx.radius * eye[0], ctx), eye[-1])
 
 
 def orientation_field(e: Event) -> np.ndarray:
@@ -302,23 +294,22 @@ def canonicalize(line: WorldLine) -> Isometry:
 
 @dataclass(frozen=True, eq=False)
 class NullRay:
-    """Straight line gamma(s) = p0 + s u lying entirely on the hyperboloid."""
+    """Straight line gamma(s) = p0 + s u lying entirely on the hyperboloid: the
+    ruling through the base p0 along a null, nonzero direction u tangent at p0."""
 
     base: Event
     direction: np.ndarray
+
+    def __post_init__(self):
+        u = _as_vector(self.direction).copy()
+        object.__setattr__(self, "direction", u)
+        _check_direction(self.base, u, 0.0, "direction", "null")
+        if not u.any():
+            raise ValueError("direction must be nonzero")
 
     def at(self, s: float) -> np.ndarray:
         return self.base.point + s * self.direction
 
     def sample(self, ss) -> np.ndarray:
-        ss = np.asarray(ss, dtype=float)
-        return self.base.point[None, :] + ss[:, None] * self.direction[None, :]
+        return self.base.point + np.asarray(ss, dtype=float)[:, None] * self.direction
 
-
-def null_ray(p0: Event, u) -> NullRay:
-    """Construct a ruling through p0; u must be null, nonzero, and tangent."""
-    u = _as_vector(u)
-    _check_direction(p0, u, 0.0, "direction", "null")
-    if not u.any():
-        raise ValueError("direction must be nonzero")
-    return NullRay(base=p0, direction=u.copy())

@@ -105,13 +105,9 @@ def classify(v) -> CausalClass:
 def _time_direction(v: np.ndarray) -> TimeDirection:
     if _classify(v) in (CausalClass.SPACELIKE, CausalClass.ZERO):
         return TimeDirection.NONE
-    # g(X, v) = -v_t for X = (0, ..., 0, 1).
-    g_x_v = -v[-1]
-    if g_x_v < 0.0:
-        return TimeDirection.FUTURE
-    if g_x_v > 0.0:
-        return TimeDirection.PAST
-    return TimeDirection.NONE
+    # g(X, v) = -v_t for X = (0, ..., 0, 1), and v_t != 0: _classify calls
+    # every nonzero v with v_t = 0 Spacelike.
+    return TimeDirection.FUTURE if v[-1] > 0.0 else TimeDirection.PAST
 
 
 def time_direction(v) -> TimeDirection:

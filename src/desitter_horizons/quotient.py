@@ -29,25 +29,30 @@ def antipode(e: Event) -> Event:
 
 @dataclass(frozen=True)
 class QuotientPoint:
-    """A glued pair {e, -e}, held by its sign-normalized representative."""
+    """A glued pair {e, -e}, held by its sign-normalized representative:
+    QuotientPoint(representative=e) equals QuotientPoint(representative=-e)."""
 
     representative: Event
 
-
-def _normalized_coords(coords: np.ndarray, ctx: SpacetimeContext) -> np.ndarray:
-    # Flip the sign iff the first coordinate of non-negligible magnitude is
-    # negative; negation of floats is exact, so e and -e normalize identically.
-    guard = ctx.tol * ctx.radius
-    for c in coords.tolist():
-        if abs(c) > guard:
-            return -coords if c < 0.0 else coords.copy()
-    return coords.copy()
+    def __post_init__(self):
+        # Flip the sign iff the first coordinate of magnitude above tol * R is
+        # negative or, when none is, the first nonzero one (an event is never
+        # the origin); negation is exact, so e and -e normalize identically.
+        e = self.representative
+        values = e.point.tolist()
+        guard = e.context.tol * e.context.radius
+        for c in values:
+            if abs(c) > guard:
+                break
+        else:
+            c = next(c for c in values if c)
+        rep = -e.point if c < 0.0 else e.point.copy()
+        object.__setattr__(self, "representative", Event._exact(rep, e.context))
 
 
 def quotient_rep(e: Event) -> QuotientPoint:
     """Canonical representative of the glued pair; identical for e and -e."""
-    rep = _normalized_coords(e.point, e.context)
-    return QuotientPoint(representative=Event._exact(rep, e.context))
+    return QuotientPoint(representative=e)
 
 
 def injectivity_check(

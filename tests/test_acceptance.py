@@ -28,8 +28,8 @@ from desitter_horizons.cli import main as cli_main
 from desitter_horizons.figures import build_scene, emit_csv, emit_svg
 from desitter_horizons.manifold import (
     Event,
+    NullRay,
     SpacetimeContext,
-    null_ray,
     sample_hyperboloid,
 )
 from desitter_horizons.minkowski import boost, verify_isometry
@@ -217,7 +217,7 @@ def test_10_null_rulings():
         np.hypot(pts[:, 1] + 1.0, pts[:, 0] - pts[:, 2]),
     )
     assert d.max() <= 1e-9
-    ray = null_ray(Event(point=np.array([0.0, 1.0, 0.0]), context=ctx), (1, 0, 1))
+    ray = NullRay(Event(point=np.array([0.0, 1.0, 0.0]), context=ctx), (1, 0, 1))
     ss = np.linspace(-10, 10, 401)
     gamma = ray.sample(ss)
     res = np.abs(gamma[:, 0] ** 2 + gamma[:, 1] ** 2 - gamma[:, 2] ** 2 - 1.0)

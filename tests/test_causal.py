@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from desitter_horizons.causal import (
+    _PSI_MAX,
     HalfSpaceSet,
     Region,
     causal_future_of_event,
@@ -101,6 +102,10 @@ class TestHalfSpaces:
         s = J_minus_L(CTX)
         assert s == s and s != J_minus_L(CTX)
 
+    def test_zero_covector_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            HalfSpaceSet(np.zeros(3), 0.0, 1e-9)
+
     def test_relation_string_rejected_at_construction(self):
         # The set is (covector, threshold, band, hyperplane); a relation
         # string in the threshold slot must not construct a set.
@@ -172,6 +177,45 @@ class TestCausalPastOfEvent:
             )
             if min(abs(v1.margin), abs(v2.margin)) > 1e-7:
                 assert v1.region is v2.region
+
+
+class TestOneSpacetime:
+    """Every query refuses arguments built on another spacetime."""
+
+    ROUTES = [causal_past_of_event, causal_future_of_event, chord_oracle, chord_oracle_past]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_verdicts_refuse_another_radius(self, route):
+        p, q = event(CTX, 1, 0, 0), event(SpacetimeContext(radius=2.0), 2, 0, 0)
+        with pytest.raises(ValueError, match="different spacetimes"):
+            route(q, p)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_verdicts_refuse_another_dimension(self, route):
+        p, q = event(SpacetimeContext(n=3), 1, 0, 0, 0), event(CTX, 1, 0, 0)
+        for a, b in ((q, p), (p, q)):
+            with pytest.raises(ValueError, match="different spacetimes"):
+                route(a, b)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_equal_contexts_are_one_spacetime(self, route):
+        p, q = event(CTX, 1, 0, 0), event(SpacetimeContext(), 0.6, 1.0, -0.6)
+        assert route(q, p) == route(event(CTX, 0.6, 1.0, -0.6), p)
+
+    def test_union_witness_refuses_another_radius(self):
+        q = event(SpacetimeContext(radius=2.0), 2.5, 0.0, 1.5)
+        with pytest.raises(ValueError, match="different spacetimes"):
+            union_witness(CTX, q)
+
+    def test_horizon_limit_check_refuses_another_radius(self):
+        q = event(SpacetimeContext(radius=2.0), 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="different spacetimes"):
+            horizon_limit_check(CTX, q, [1.0])
+
+    def test_throat_intersection_refuses_another_radius(self):
+        line = canonical_worldline(SpacetimeContext(radius=2.0))
+        with pytest.raises(ValueError, match="different spacetimes"):
+            throat_intersection(CTX, line)
 
 
 class TestChordOracle:
@@ -291,6 +335,20 @@ class TestThroatIntersection:
     def test_compares_by_identity(self):
         ti = throat_intersection(CTX)
         assert ti == ti and ti != throat_intersection(CTX)
+
+    def test_derived_fields(self):
+        ctx = SpacetimeContext(radius=2.0, n=3)
+        ti = throat_intersection(ctx)
+        assert ti.context is ctx and ti.expected_distance == math.pi
+
+    def test_degenerate_plane_at_large_tolerance(self):
+        # The spatial normal x/R + u_x has norm sqrt(1 + |u_x|^2) >= 1, but the
+        # test compares it with tol (1 + |u_x|): at tol = 0.9 and |u_x| = 1
+        # that is sqrt(2) against 1.8.
+        ctx = SpacetimeContext(tol=0.9)
+        line = WorldLine(event(ctx, 1, 0, 0), (0.0, 1.0, math.sqrt(2.0)))
+        with pytest.raises(ValueError, match="degenerate horizon plane"):
+            throat_intersection(ctx, line)
 
     @pytest.mark.parametrize("psi", [8.0, -8.0, 12.0, -12.0])
     def test_large_base_rapidity(self, psi):
@@ -474,6 +532,33 @@ class TestUnionWitnessClosedForm:
                 assert psi < 60.0
                 assert _check_against_reference(ctx, p) == psi
         assert long_nudges >= 5
+
+    def test_ceiling_at_the_edge_of_the_window(self):
+        # (u, sqrt(1 - u^2), 0) enters J^-(L(psi)) at psi* = log(2 / u) -
+        # O(u^2), within rounding of _PSI_MAX for u just above 1 / cosh(_PSI_MAX):
+        # the start or its nudges reach _PSI_MAX, which is returned. The first
+        # few u read as unobserved, their margin at _PSI_MAX rounding to <= 0.
+        u, witnesses = 1.0 / math.cosh(_PSI_MAX), []
+        for _ in range(64):
+            u = math.nextafter(u, 1.0)
+            e = Event(point=np.array([u, math.sqrt(1.0 - u * u), 0.0]), context=CTX)
+            try:
+                witnesses.append(union_witness(CTX, e))
+            except ValueError:
+                assert not witnesses  # only at the edge itself
+        assert witnesses.count(_PSI_MAX) >= 10
+        assert all(_PSI_MAX - 1e-12 <= w <= _PSI_MAX for w in witnesses)
+
+    def test_floor_needs_cosh_and_sinh_apart(self):
+        # The -_PSI_MAX return needs a positive margin at -_PSI_MAX. When
+        # cosh and sinh of _PSI_MAX round to the same double c, both rows of
+        # boost(_PSI_MAX) give A = c x_1 + c t, and the margin min(A - R, -A)
+        # is never positive; so no event reaches that return.
+        assert math.cosh(_PSI_MAX) == math.sinh(_PSI_MAX)
+        far = sample_causal_past_canonical(CTX, 50, np.random.default_rng(12))
+        for p in far @ boost(-61.0).matrix.T:
+            e = Event(point=p, context=CTX)
+            assert union_witness(CTX, e) > -_PSI_MAX
 
     def test_unobserved_and_horizon_events_rejected(self):
         for n in (2, 3, 6):

@@ -84,12 +84,18 @@ class TestBuildScene:
                 assert abs(p[0] ** 2 + p[1] ** 2 - p[2] ** 2 - 1.0) <= 1e-8
 
     def test_validation_errors(self):
+        from desitter_horizons.figures import FigureScene
+
         with pytest.raises(ValueError, match="n = 2"):
             build_scene(SpacetimeContext(radius=1.0, n=3), "fig2")
         with pytest.raises(ValueError, match="resolution"):
             build_scene(CTX, "fig2", resolution=4)
         with pytest.raises(ValueError):
             build_scene(CTX, "fig5")
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            build_scene(CTX, "fig2", t_max=0.0)
+        with pytest.raises(ValueError, match="t_max > 0"):
+            FigureScene(CTX, (), np.empty((0, 3)), t_max=0)
 
     @pytest.mark.parametrize(
         "figure,kw,match",
@@ -131,6 +137,12 @@ class TestBuildScene:
         scene = _scene("cones", psi_list=[100.0])
         assert all(np.isfinite(pl.points).all() for pl in scene.polylines)
 
+
+    def test_unknown_polyline_label(self):
+        from desitter_horizons.figures import Polyline
+
+        with pytest.raises(ValueError, match="unknown polyline label"):
+            Polyline("horizon", np.zeros((1, 3)))
 
     def test_polyline_needs_a_vertex(self):
         from desitter_horizons.figures import Polyline
@@ -252,8 +264,12 @@ class TestCli:
             ["fig2", "--proj", "nan,0"],
             ["fig3", "--radius", "1e300"],
             ["cones", "--psi-list=,"],
+            ["fig2", "--proj", "1,2,3"],
         ],
-        ids=["psi-nan", "t-max-inf", "proj-nan", "radius-overflow", "psi-list-empty"],
+        ids=[
+            "psi-nan", "t-max-inf", "proj-nan", "radius-overflow", "psi-list-empty",
+            "proj-three-numbers",
+        ],
     )
     def test_invalid_figure_inputs_exit_2(self, tmp_path, capsys, argv):
         assert cli_main(argv + ["--out", str(tmp_path / "x")]) == 2

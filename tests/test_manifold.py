@@ -5,17 +5,17 @@ import pytest
 
 from desitter_horizons.manifold import (
     Event,
+    NullRay,
+    SliceSphere,
     SpacetimeContext,
     WorldLine,
     _unit_vectors,
     canonical_worldline,
     canonicalize,
     event,
-    null_ray,
     on_hyperboloid,
     orientation_field,
     sample_hyperboloid,
-    slice_sphere,
 )
 from desitter_horizons.minkowski import (
     EPS,
@@ -75,6 +75,7 @@ class TestContextValidation:
             {"radius": 1e155},
             {"radius": 1e200},
             {"tol": 1.0},
+            {"n": 1},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
@@ -101,6 +102,13 @@ class TestEventEquality:
         assert event(CTX, 1, 0, 0) != event(SpacetimeContext(tol=1e-6), 1, 0, 0)
         assert event(CTX, 1, 0, 0) != (1.0, 0.0, 0.0)
 
+    def test_wrong_component_count_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 components"):
+            Event(point=np.array([1.0, 0.0, 0.0, 0.0]), context=CTX)
+
+    def test_single_sequence_form(self):
+        assert event(CTX, (1.0, 0.0, 0.0)) == event(CTX, 1, 0, 0)
+
     def test_shape_mismatch_is_unequal(self):
         longer = Event._exact(np.array([1.0, 0.0, 0.0, 0.0]), CTX)
         assert longer != event(CTX, 1, 0, 0) and event(CTX, 1, 0, 0) != longer
@@ -116,28 +124,33 @@ class TestIdentityEquality:
     def test_worldline_and_ray_compare_by_identity(self):
         line = canonical_worldline(CTX)
         assert line == line and line != canonical_worldline(CTX)
-        ray = null_ray(event(CTX, 0, 1, 0), (1, 0, 1))
-        assert ray == ray and ray != null_ray(event(CTX, 0, 1, 0), (1, 0, 1))
+        ray = NullRay(event(CTX, 0, 1, 0), (1, 0, 1))
+        assert ray == ray and ray != NullRay(event(CTX, 0, 1, 0), (1, 0, 1))
 
 
 class TestSliceSphere:
     def test_throat_radius(self):
-        assert slice_sphere(CTX, 0.0).spatial_radius == 1.0
+        assert SliceSphere(CTX, 0.0).spatial_radius == 1.0
 
     def test_radius_at_c_equal_R(self):
         ctx = SpacetimeContext(radius=2.0)
-        assert slice_sphere(ctx, 2.0).spatial_radius == pytest.approx(2.0 * math.sqrt(2))
+        assert SliceSphere(ctx, 2.0).spatial_radius == pytest.approx(2.0 * math.sqrt(2))
 
     def test_samples_on_hyperboloid(self):
-        sl = slice_sphere(CTX, 0.7)
+        sl = SliceSphere(CTX, 0.7)
         pts = sl.sample(10_000, np.random.default_rng(1))
         assert all(on_hyperboloid(p, CTX) for p in pts)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            SliceSphere(CTX, t)
 
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     def test_contains_is_unit_consistent(self, radius):
         # The band is tol * |e|_E, so the R-scaled event gets one answer.
         ctx = SpacetimeContext(radius=radius)
-        throat = slice_sphere(ctx, 0.0)
+        throat = SliceSphere(ctx, 0.0)
         assert not throat.contains(event(ctx, radius, 0.0, 5e-9 * radius))
         assert throat.contains(event(ctx, radius, 0.0, 5e-10 * radius))
 
@@ -348,7 +361,7 @@ class TestCanonicalize:
 
 class TestNullRay:
     def test_ruling_stays_on_surface(self):
-        ray = null_ray(event(CTX, 0, 1, 0), (1, 0, 1))
+        ray = NullRay(event(CTX, 0, 1, 0), (1, 0, 1))
         for s in np.linspace(-10, 10, 101):
             p = ray.at(s)
             assert abs(inner(p, p) - 1.0) <= 1e-8
@@ -357,33 +370,49 @@ class TestNullRay:
     def test_scaling_reparametrizes(self):
         base = event(CTX, 0, 1, 0)
         np.testing.assert_allclose(
-            null_ray(base, (1, 0, 1)).at(2.0), null_ray(base, (2, 0, 2)).at(1.0)
+            NullRay(base, (1, 0, 1)).at(2.0), NullRay(base, (2, 0, 2)).at(1.0)
         )
 
     def test_spacelike_direction_rejected(self):
         with pytest.raises(ValueError, match="null"):
-            null_ray(event(CTX, 0, 1, 0), (1, 0, 0))
+            NullRay(event(CTX, 0, 1, 0), (1, 0, 0))
 
     def test_non_tangent_rejected(self):
         with pytest.raises(ValueError, match="tangent"):
-            null_ray(event(CTX, 1, 0, 0), (1, 0, 1))
+            NullRay(event(CTX, 1, 0, 0), (1, 0, 1))
+
+    def test_constructor_enforces_the_ruling(self):
+        # (5, 0, 0) is tangent at (0, 1, 0) but spacelike: its point at s = 1
+        # would be (5, 1, 0), off the hyperboloid.
+        with pytest.raises(ValueError, match="null"):
+            NullRay(base=event(CTX, 0, 1, 0), direction=np.array([5.0, 0.0, 0.0]))
+
+    def test_direction_is_copied(self):
+        u = np.array([1.0, 0.0, 1.0])
+        ray = NullRay(event(CTX, 0, 1, 0), u)
+        u[:] = 5.0
+        np.testing.assert_array_equal(ray.at(1.0), [1.0, 1.0, 1.0])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension does not match"):
+            NullRay(event(CTX, 0, 1, 0), (1, 0, 0, 1))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            null_ray(event(CTX, 0, 1, 0), (0, 0, 0))
+            NullRay(event(CTX, 0, 1, 0), (0, 0, 0))
 
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     def test_short_direction_accepted(self, radius):
         # Only the exact zero vector is zero; a short null direction is fine.
         ctx = SpacetimeContext(radius=radius)
         u = 1e-7 * radius * np.array([1.0, 0.0, 1.0])
-        ray = null_ray(event(ctx, 0.0, radius, 0.0), u)
+        ray = NullRay(event(ctx, 0.0, radius, 0.0), u)
         np.testing.assert_array_equal(ray.direction, u)
 
     def test_rounded_null_direction_at_zero_tolerance(self):
         # Null and tangent up to the rounding of 0.6 and 0.8.
         ctx = SpacetimeContext(tol=0.0)
-        null_ray(event(ctx, 0.8, -0.6, 0.0), (0.6, 0.8, 1.0))
+        NullRay(event(ctx, 0.8, -0.6, 0.0), (0.6, 0.8, 1.0))
 
 
 class TestDimensionGenerality:

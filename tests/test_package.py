@@ -13,9 +13,9 @@ PUBLIC_NAMES = [
     "emit_svg", "event", "figures", "horizon_future", "horizon_limit_check",
     "horizon_past", "horizon_symmetry_check", "injectivity_check", "inner",
     "isometry_from_matrix", "manifold", "metric", "minkowski",
-    "nesting_check", "null_ray", "on_hyperboloid", "orientation_field",
+    "nesting_check", "on_hyperboloid", "orientation_field",
     "quotient", "quotient_rep", "sample_causal_past_canonical",
-    "sample_horizon", "sample_hyperboloid", "slice_sphere",
+    "sample_horizon", "sample_hyperboloid",
     "spatial_rotation", "throat_intersection", "time_direction",
     "union_witness", "verify_isometry",
 ]

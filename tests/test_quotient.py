@@ -21,6 +21,7 @@ from desitter_horizons.manifold import (
 from desitter_horizons import quotient
 from desitter_horizons.minkowski import inner
 from desitter_horizons.quotient import (
+    QuotientPoint,
     antipode,
     horizon_symmetry_check,
     injectivity_check,
@@ -82,6 +83,39 @@ class TestQuotientRep:
             e = Event(point=p, context=CTX)
             rep = quotient_rep(e).representative.point
             assert np.array_equal(rep, p) or np.array_equal(rep, -p)
+
+
+class TestQuotientPoint:
+    def test_constructor_normalizes(self):
+        e = event(CTX, -1, 0, 0)
+        q = QuotientPoint(representative=e)
+        assert q == QuotientPoint(representative=antipode(e)) == quotient_rep(e)
+        np.testing.assert_array_equal(q.representative.point, [1, 0, 0])
+
+    def test_constructor_keeps_the_argument(self):
+        e = event(CTX, -1, 0, 0)
+        QuotientPoint(representative=e).representative.point[:] = 7.0
+        np.testing.assert_array_equal(e.point, [-1, 0, 0])
+
+    def test_pairs_below_the_guard_are_glued(self):
+        # At tol = 0.9 no coordinate of e passes the guard tol * R.
+        ctx = SpacetimeContext(tol=0.9)
+        e = event(ctx, 0.75, 0.75, np.sqrt(0.125))
+        assert quotient_rep(e) == quotient_rep(antipode(e))
+        np.testing.assert_array_equal(quotient_rep(antipode(e)).representative.point, e.point)
+
+    def test_below_the_guard_the_first_nonzero_coordinate_sets_the_sign(self):
+        ctx = SpacetimeContext(n=3, tol=0.9)
+        e = event(ctx, 0.0, -0.75, 0.75, -np.sqrt(0.125))
+        np.testing.assert_array_equal(quotient_rep(e).representative.point, -e.point)
+        assert quotient_rep(e) == quotient_rep(antipode(e))
+
+    def test_guarded_coordinate_sets_the_sign(self):
+        # -0.95 is the first coordinate above the guard 0.9, so it wins over
+        # the leading 0.5.
+        ctx = SpacetimeContext(tol=0.9)
+        e = event(ctx, 0.5, -0.95, np.sqrt(0.1525))
+        np.testing.assert_array_equal(quotient_rep(e).representative.point, -e.point)
 
 
 class TestQuotientHash:
