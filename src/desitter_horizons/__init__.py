@@ -12,7 +12,6 @@ from .causal import (
     chord_oracle,
     chord_oracle_past,
     cone_at_L_psi,
-    cone_at_canonical_p,
     horizon_future,
     horizon_limit_check,
     horizon_past,

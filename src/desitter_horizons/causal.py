@@ -25,7 +25,7 @@ from .manifold import (
     _complement,
     _unit_vectors,
 )
-from .minkowski import _form, _negligible, _norm
+from .minkowski import _form
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -107,11 +107,6 @@ def _set(
     a[0] = x1
     a[-1] = t
     return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
-
-
-def cone_at_canonical_p(ctx: SpacetimeContext) -> HalfSpaceSet:
-    """Light cone of the throat event (R, 0, ..., 0): the slice x_1 = R."""
-    return cone_at_L_psi(ctx, 0.0)
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
@@ -307,15 +302,19 @@ def horizon_limit_check(ctx: SpacetimeContext, q: Event, psis) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ThroatIntersection:
-    """The past horizon's trace on the throat slice: an intrinsic sphere of
-    radius pi R / 2 about the observer's throat event."""
+    """The past horizon's trace on the throat slice: the great sphere
+    {a . x = 0} of |x| = R, an intrinsic sphere of radius pi R / 2 about its
+    pole R a. The pole is the observer's throat event only when the observer
+    crosses the throat at rest (u_x = 0), as the canonical one does."""
 
-    center: Event
-    plane_normal: np.ndarray  # spatial covector of the horizon plane, unit
+    context: SpacetimeContext
+    plane_normal: np.ndarray  # spatial covector a of the horizon plane, unit
 
     @property
-    def context(self) -> SpacetimeContext:
-        return self.center.context
+    def center(self) -> Event:
+        """The pole (R a, 0)."""
+        ctx = self.context
+        return Event(point=np.append(ctx.radius * self.plane_normal, 0.0), context=ctx)
 
     @property
     def expected_distance(self) -> float:
@@ -329,11 +328,10 @@ class ThroatIntersection:
         return np.column_stack((self.context.radius * dirs @ basis, np.zeros(count)))
 
     def distance(self, point) -> float:
-        """Great-circle distance on the throat sphere from the center event."""
-        ctx = self.context
-        x = np.asarray(point, dtype=float)[:-1]
-        c = float(self.center.spatial @ x) / ctx.radius**2
-        return ctx.radius * math.acos(max(-1.0, min(1.0, c)))
+        """Great-circle distance on the throat sphere from the pole."""
+        r = self.context.radius
+        c = float(self.plane_normal @ np.asarray(point, dtype=float)[:-1]) / r
+        return r * math.acos(max(-1.0, min(1.0, c)))
 
 
 def throat_intersection(
@@ -343,7 +341,8 @@ def throat_intersection(
 
     The world line crosses the throat at a unique rapidity; the horizon plane
     in the line's canonical frame pulls back to a hyperplane through the
-    origin, whose t = 0 section is an intrinsic sphere of radius pi R / 2.
+    origin, whose t = 0 section is an intrinsic sphere of radius pi R / 2
+    about the pole of the plane's spatial normal.
     """
     line = canonical_worldline(ctx) if line is None else line
     _check_context(ctx, line.context)
@@ -351,23 +350,12 @@ def throat_intersection(
     p_t = float(line.base.point[-1])
     u_t = float(line.tangent[-1])
     psi_star = math.atanh(-p_t / (r * u_t))
-    center_pt = line.at(psi_star)
-    center_pt[-1] = 0.0  # exact throat membership despite rounding
     # The horizon covector is the x_1 row minus the t row of the inverse
-    # frame at the center. Their spatial parts are x/R and -u_x for the unit
-    # tangent u = velocity(psi*) / R, so no frame needs to be built.
-    x_term = center_pt[:-1] / r
-    u_term = line.velocity(psi_star)[:-1] / r
-    a_spatial = x_term + u_term
-    norm = float(np.linalg.norm(a_spatial))
-    if _negligible(norm, _norm(x_term) + _norm(u_term), ctx.tol, 2):
-        raise ValueError("degenerate horizon plane")
-    # line.at cancels terms of size cosh(psi*), so project the center back
-    # onto |x| = R; hypot does not underflow at tiny R.
-    center_pt[:-1] *= r / math.hypot(*center_pt[:-1].tolist())
-    return ThroatIntersection(
-        center=Event(point=center_pt, context=ctx), plane_normal=a_spatial / norm
-    )
+    # frame at the crossing. Their spatial parts are x/R and -u_x for the unit
+    # tangent u = velocity(psi*) / R, so no frame needs to be built. x/R and
+    # u_x are orthogonal at the crossing, so |a|^2 = 1 + |u_x|^2 >= 1.
+    a = line.at(psi_star)[:-1] / r + line.velocity(psi_star)[:-1] / r
+    return ThroatIntersection(context=ctx, plane_normal=a / np.linalg.norm(a))
 
 
 def union_witness(ctx: SpacetimeContext, q: Event) -> float:
@@ -386,8 +374,6 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     x1, t = float(q.point[0]), float(q.point[-1])
     if _past_margin_at(x1, t, _PSI_MAX, r) <= 0.0:
         raise ValueError("event is not inside the observed region J^-(L)")
-    if _past_margin_at(x1, t, -_PSI_MAX, r) > 0.0:
-        return -_PSI_MAX
     # margin(_PSI_MAX) > 0 forces x_1 - t > 0, so the logarithm is finite.
     u = x1 - t
     disc = max(r * r - u * (x1 + t), 0.0)

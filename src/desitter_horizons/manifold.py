@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minkowski import (
+    _GAMMA_PER_TERM,
     EPS,
     Isometry,
     TimeDirection,
@@ -66,11 +67,14 @@ def _member(v: np.ndarray, ctx: SpacetimeContext) -> bool:
     t = float(v[-1])
     # The two partial sums of <v, v>, as _form computes them.
     space, time = float(v[:-1] @ v[:-1]), t * t
-    return _negligible(space - time - r2, space + time + r2, ctx.tol, v.size + 1)
+    # The band tol R^2 is a width on the surface; only the rounding floor
+    # grows with |t|, so a point far off the surface at |t| >> R is refused.
+    floor = (v.size + 1) * _GAMMA_PER_TERM * (space + time + r2)
+    return abs(space - time - r2) <= max(ctx.tol * r2, floor) < math.inf
 
 
 def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
-    """Membership: |<v, v> - R^2| <= max(tol, gamma) (|x|^2 + t^2 + R^2)."""
+    """Membership: |<v, v> - R^2| <= max(tol R^2, gamma (|x|^2 + t^2 + R^2))."""
     return _member(_as_point(v, ctx), ctx)
 
 

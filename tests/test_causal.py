@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desitter_horizons.causal import (
     _PSI_MAX,
@@ -13,7 +15,6 @@ from desitter_horizons.causal import (
     chord_oracle,
     chord_oracle_past,
     cone_at_L_psi,
-    cone_at_canonical_p,
     horizon_future,
     horizon_limit_check,
     horizon_past,
@@ -36,22 +37,17 @@ from desitter_horizons.manifold import (
     on_hyperboloid,
     sample_hyperboloid,
 )
-from desitter_horizons.minkowski import boost, central_symmetry, spatial_rotation
+from desitter_horizons.minkowski import boost, central_symmetry, inner, spatial_rotation
 
 CTX = SpacetimeContext(radius=1.0, n=2)
 
 
 class TestCones:
     def test_canonical_cone_members(self):
-        cone = cone_at_canonical_p(CTX)
+        cone = cone_at_L_psi(CTX, 0.0)
         assert cone.verdict((1, 0.8, 0.8)).region is Region.BOUNDARY
         assert cone.verdict((1, 0, 0)).region is Region.BOUNDARY
         assert cone.verdict((0, 1, 0)).region is Region.OUTSIDE
-
-    def test_psi_zero_reduces_to_canonical(self):
-        c0 = cone_at_L_psi(CTX, 0.0)
-        np.testing.assert_array_equal(c0.covector, cone_at_canonical_p(CTX).covector)
-        assert c0.threshold == cone_at_canonical_p(CTX).threshold
 
     def test_boost_pushforward(self):
         psi = 1.3
@@ -342,21 +338,22 @@ class TestThroatIntersection:
         assert ti.context is ctx and ti.expected_distance == math.pi
 
     def test_degenerate_plane_at_large_tolerance(self):
-        # The spatial normal x/R + u_x has norm sqrt(1 + |u_x|^2) >= 1, but the
-        # test compares it with tol (1 + |u_x|): at tol = 0.9 and |u_x| = 1
-        # that is sqrt(2) against 1.8.
+        # The spatial normal x/R + u_x has norm sqrt(1 + |u_x|^2) >= 1, so no
+        # tolerance makes it degenerate: at tol = 0.9 and |u_x| = 1 the line
+        # still has the normal (1, 1) / sqrt(2).
         ctx = SpacetimeContext(tol=0.9)
         line = WorldLine(event(ctx, 1, 0, 0), (0.0, 1.0, math.sqrt(2.0)))
-        with pytest.raises(ValueError, match="degenerate horizon plane"):
-            throat_intersection(ctx, line)
+        ti = throat_intersection(ctx, line)
+        np.testing.assert_allclose(ti.plane_normal, [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
+        for p in ti.sample(20, np.random.default_rng(8)):
+            assert ti.distance(p) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("psi", [8.0, -8.0, 12.0, -12.0])
     def test_large_base_rapidity(self, psi):
         # The line of TestCanonicalize::test_rapidity_12_line, based at psi.
-        # line.at(psi*) cancels terms of size cosh(psi), so the center is
-        # projected onto the throat sphere; it stays within a few
-        # eps * cosh(psi)^2 of the exact crossing iso(cosh psi_c, 0, sinh psi_c),
-        # where tanh psi_c = -tanh(1) cos(0.8) makes its t vanish.
+        # line.at(psi*) cancels terms of size cosh(psi), so the center, the
+        # pole of the plane normal, stays within a few eps * cosh(psi)^2 of
+        # the exact pole: the normalized spatial part of k+ = iso (1, 0, 1).
         canon = canonical_worldline(CTX)
         iso = (
             spatial_rotation((1, 2), 0.3)
@@ -368,11 +365,52 @@ class TestThroatIntersection:
             tangent=iso.apply(canon.velocity(psi)),
         )
         ti = throat_intersection(CTX, line)
-        exact = iso.apply(canon.at(math.atanh(-math.tanh(1.0) * math.cos(0.8))))
-        assert ti.center.t == 0.0
-        assert ti.center.spatial @ ti.center.spatial == pytest.approx(1.0, abs=4e-16)
+        k = iso.apply((1.0, 0.0, 1.0))[:-1]
+        exact = np.append(k / np.linalg.norm(k), 0.0)
         gap = np.abs(ti.center.point - exact).max()
         assert gap <= 4 * np.finfo(float).eps * math.cosh(psi) ** 2
+
+    @staticmethod
+    def _check_moving_observer(ctx, iso, psi0=0.0):
+        # Samples lie on the horizon <e, k+> = 0 of the line iso(L(psi)), with
+        # k+ = iso (1, 0, ..., 0, 1), and at pi R / 2 from the center.
+        r = ctx.radius
+        canon = canonical_worldline(ctx)
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.at(psi0)), context=ctx),
+            tangent=iso.apply(canon.velocity(psi0)) / r,
+        )
+        ti = throat_intersection(ctx, line)
+        k_plus = iso.apply(canon.base.point / r + canon.tangent)
+        for p in ti.sample(50, np.random.default_rng(6)):
+            assert abs(ti.distance(p) - math.pi * r / 2) <= 1e-9 * r
+            assert abs(inner(p, k_plus)) <= 1e-12 * r
+
+    @pytest.mark.parametrize(
+        "iso",
+        [
+            spatial_rotation((1, 2), 0.3)
+            .compose(boost(1.0))
+            .compose(spatial_rotation((1, 2), 0.8)),
+            boost(1.1).compose(spatial_rotation((1, 2), 0.7)),
+        ],
+    )
+    def test_moving_observer_center_is_the_pole(self, iso):
+        # Both lines cross the throat with u_x != 0, R atan|u_x| away from the
+        # pole; the center is the pole, not the crossing.
+        self._check_moving_observer(CTX, iso)
+
+    @given(
+        beta=st.floats(-2.0, 2.0),
+        theta=st.floats(0.1, 1.4),
+        psi0=st.floats(-2.0, 2.0),
+        n=st.sampled_from([2, 3]),
+        r=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_moving_observers(self, beta, theta, psi0, n, r):
+        iso = boost(beta, n).compose(spatial_rotation((1, 2), theta, n))
+        self._check_moving_observer(SpacetimeContext(radius=r, n=n), iso, psi0)
 
     def test_general_worldline(self):
         ctx = SpacetimeContext(radius=2.5, n=2)
@@ -550,10 +588,10 @@ class TestUnionWitnessClosedForm:
         assert all(_PSI_MAX - 1e-12 <= w <= _PSI_MAX for w in witnesses)
 
     def test_floor_needs_cosh_and_sinh_apart(self):
-        # The -_PSI_MAX return needs a positive margin at -_PSI_MAX. When
-        # cosh and sinh of _PSI_MAX round to the same double c, both rows of
-        # boost(_PSI_MAX) give A = c x_1 + c t, and the margin min(A - R, -A)
-        # is never positive; so no event reaches that return.
+        # union_witness has no -_PSI_MAX return: it would need a positive
+        # margin at -_PSI_MAX. When cosh and sinh of _PSI_MAX round to the
+        # same double c, both rows of boost(_PSI_MAX) give A = c x_1 + c t,
+        # and the margin min(A - R, -A) is never positive.
         assert math.cosh(_PSI_MAX) == math.sinh(_PSI_MAX)
         far = sample_causal_past_canonical(CTX, 50, np.random.default_rng(12))
         for p in far @ boost(-61.0).matrix.T:
@@ -687,7 +725,7 @@ def _set_gate_digest(count=100):
                 J_minus_negL,
                 horizon_past,
                 horizon_future,
-                cone_at_canonical_p,
+                lambda ctx: cone_at_L_psi(ctx, 0.0),
             )
             sets = [f(ctx) for f in factories]
             sets += [cone_at_L_psi(ctx, psi) for psi in (-3.0, 0.0, 0.7, 40.0)]

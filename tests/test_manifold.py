@@ -47,6 +47,14 @@ class TestOnHyperboloid:
         with pytest.raises(ValueError):
             event(CTX, 0.5, 0.0, 0.0)
 
+    def test_far_off_surface_at_large_time_rejected(self):
+        # The band is tol R^2 at every |t|: <p, p> = -1499 at t = 1e6, and
+        # <p, p> = 0.81 at t = 1e4, are far off the surface R^2 = 1.
+        t = 1e6
+        assert not on_hyperboloid((math.sqrt(t * t - 1499.0), 0.0, t), CTX)
+        t = 1e4
+        assert not on_hyperboloid((math.sqrt(t * t + 0.81), 0.0, t), CTX)
+
     def test_overflowing_point_rejected(self):
         # <v, v> and its magnitude overflow to inf, which certifies nothing.
         with np.errstate(over="ignore"):

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "antipode", "boost", "build_scene", "canonical_worldline", "canonicalize",
     "causal", "causal_future_of_event", "causal_past_of_event",
     "central_symmetry", "chord_oracle", "chord_oracle_past", "classify",
-    "compactify", "cone_at_L_psi", "cone_at_canonical_p", "emit_csv",
+    "compactify", "cone_at_L_psi", "emit_csv",
     "emit_svg", "event", "figures", "horizon_future", "horizon_limit_check",
     "horizon_past", "horizon_symmetry_check", "injectivity_check", "inner",
     "isometry_from_matrix", "manifold", "metric", "minkowski",
