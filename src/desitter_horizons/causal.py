@@ -20,12 +20,10 @@ from .manifold import (
     SpacetimeContext,
     WorldLine,
     canonical_worldline,
-    canonicalize,
-    orientation_field,
     _complement,
     _unit_vectors,
 )
-from .minkowski import _form
+from .minkowski import _form, _norm
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -179,9 +177,7 @@ def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
     _check_context(ctx, q.context)
-    # orientation_field(p) is future unit timelike and tangent at p already.
-    frame = canonicalize(WorldLine._exact(p, orientation_field(p)))
-    qc = frame.inverse().matrix @ q.point
+    qc = p._frame.inverse().matrix @ q.point
     margin = _past_margin(qc[0], time_sign * qc[-1], ctx.radius)
     return _verdict(float(margin), ctx.tol * ctx.radius)
 
@@ -328,10 +324,13 @@ class ThroatIntersection:
         return np.column_stack((self.context.radius * dirs @ basis, np.zeros(count)))
 
     def distance(self, point) -> float:
-        """Great-circle distance on the throat sphere from the pole."""
-        r = self.context.radius
-        c = float(self.plane_normal @ np.asarray(point, dtype=float)[:-1]) / r
-        return r * math.acos(max(-1.0, min(1.0, c)))
+        """Great-circle distance on the throat sphere from the pole: R times
+        the angle atan2(|x - (a . x) a|, a . x) between a and the spatial part
+        x, which keeps its digits near the pole, where acos would lose half."""
+        a = self.plane_normal
+        x = np.asarray(point, dtype=float)[:-1]
+        c = float(a @ x)
+        return self.context.radius * math.atan2(_norm(x - c * a), c)
 
 
 def throat_intersection(

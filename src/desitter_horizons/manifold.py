@@ -7,6 +7,7 @@ take an explicit numpy Generator so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -118,6 +119,14 @@ class Event:
         object.__setattr__(e, "point", point)
         object.__setattr__(e, "context", context)
         return e
+
+    @functools.cached_property
+    def _frame(self) -> Isometry:
+        """The canonical frame here (orientation_field is future unit timelike
+        and tangent here by construction), built on first use and kept in the
+        instance __dict__ outside the fields, so ==, hash and repr ignore it.
+        It assumes `point` is not mutated after construction."""
+        return canonicalize(WorldLine._exact(self, orientation_field(self)))
 
     @property
     def spatial(self) -> np.ndarray:

@@ -8,6 +8,7 @@ sampling checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .causal import (
     horizon_past,
     sample_horizon,
 )
-from .manifold import Event, SpacetimeContext, sample_hyperboloid
+from .manifold import Event, SpacetimeContext, _complement, sample_hyperboloid
 
 
 def antipode(e: Event) -> Event:
@@ -66,7 +67,8 @@ def injectivity_check(
     Tests `samples` events inside `region`: each one's antipode must fall
     outside. sample_hyperboloid is symmetric under e -> -e, so each draw e
     yields the pair {e, -e}, and each member inside is tested against the
-    other's margin. Each draw is `samples` points, at most 200 draws.
+    other's margin. Each draw is `samples` points, at most 200 draws. For a
+    threshold c < -band the equatorial pair, inside twice, is tested first.
     Hyperplanes (horizons) are rejected: they are centrally symmetric.
     """
     if region.hyperplane:
@@ -75,8 +77,16 @@ def injectivity_check(
     band = region.band
     collected = violations = 0
     worst = -np.inf
-    for _ in range(200):
-        pts = sample_hyperboloid(ctx, samples, rng)
+    draws = (sample_hyperboloid(ctx, samples, rng) for _ in range(200))
+    if region.threshold < -band:
+        # Sampling misses thin cases, so the pair that is inside twice goes
+        # first: a . e = 0 on the equatorial pair +-(R w, 0), with w a unit
+        # spatial vector orthogonal to a_x, so both margins are -c > band.
+        a_x = region.covector[:-1]
+        # Scaling a_x by its largest entry keeps its norm from underflowing.
+        w = _complement(a_x / np.abs(a_x).max())[0] if a_x.any() else np.eye(ctx.n)[0]
+        draws = itertools.chain([np.append(ctx.radius * w, 0.0)[None, :]], draws)
+    for pts in draws:
         # margins(-pts) is -s - c bit for bit: negation is exact.
         s = pts @ region.covector
         margins, anti_margins = s - region.threshold, -s - region.threshold

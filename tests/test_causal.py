@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desitter_horizons import manifold
 from desitter_horizons.causal import (
     _PSI_MAX,
     HalfSpaceSet,
@@ -33,8 +34,10 @@ from desitter_horizons.manifold import (
     SpacetimeContext,
     WorldLine,
     canonical_worldline,
+    canonicalize,
     event,
     on_hyperboloid,
+    orientation_field,
     sample_hyperboloid,
 )
 from desitter_horizons.minkowski import boost, central_symmetry, inner, spatial_rotation
@@ -173,6 +176,36 @@ class TestCausalPastOfEvent:
             )
             if min(abs(v1.margin), abs(v2.margin)) > 1e-7:
                 assert v1.region is v2.region
+
+
+class TestFrameReuse:
+    """The frame route builds each apex's canonical frame once, on the first
+    verdict, and keeps it outside the Event's fields."""
+
+    def test_one_frame_per_apex(self, monkeypatch):
+        built = []
+        original = manifold.canonicalize
+
+        def counted(line):
+            built.append(line.base)
+            return original(line)
+
+        monkeypatch.setattr(manifold, "canonicalize", counted)
+        p, other = event(CTX, 1.0, 1.0, 1.0), event(CTX, 0.6, 1.0, -0.6)
+        for q in sample_hyperboloid(CTX, 8, np.random.default_rng(31)):
+            q = Event(point=q, context=CTX)
+            causal_past_of_event(q, p)
+            causal_future_of_event(q, p)
+        causal_past_of_event(p, other)
+        assert built == [p, other]
+
+    def test_frame_is_the_canonical_frame_and_not_a_field(self):
+        p = event(CTX, 1.0, 1.0, 1.0)
+        text, key = repr(p), hash(p)
+        causal_past_of_event(p, p)
+        assert vars(p)["_frame"] == canonicalize(WorldLine(p, orientation_field(p)))
+        assert repr(p) == text and hash(p) == key
+        assert p == event(CTX, 1.0, 1.0, 1.0)
 
 
 class TestOneSpacetime:
@@ -399,6 +432,24 @@ class TestThroatIntersection:
         # Both lines cross the throat with u_x != 0, R atan|u_x| away from the
         # pole; the center is the pole, not the crossing.
         self._check_moving_observer(CTX, iso)
+
+    @pytest.mark.parametrize("r", [1e-3, 1.0])
+    def test_pole_distance_of_a_moving_observer(self, r):
+        # The pole R a has a . a = 1 - 1.1e-16 for this line; acos of that
+        # cosine read 1.49e-8 R at R = 1, atan2 of the two parts reads ~eps R.
+        ctx = SpacetimeContext(radius=r)
+        canon = canonical_worldline(ctx)
+        iso = (
+            spatial_rotation((1, 2), 0.3)
+            .compose(boost(1.0))
+            .compose(spatial_rotation((1, 2), 0.8))
+        )
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.base.point), context=ctx),
+            tangent=iso.apply(canon.tangent),
+        )
+        ti = throat_intersection(ctx, line)
+        assert ti.distance(ti.center.point) <= 4 * np.finfo(float).eps * r
 
     @given(
         beta=st.floats(-2.0, 2.0),

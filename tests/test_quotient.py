@@ -150,6 +150,24 @@ class TestInjectivityCheck:
         assert report.violations > 0
         assert report.worst_margin > 0.0
 
+    def test_thin_negative_threshold_reports_the_equatorial_pair(self):
+        # a . e > -1e-6 holds on both members of a pair only where
+        # |a . e| < 1e-6, which 10_000 draws almost never hit; the pair
+        # +-(R w, 0) with w orthogonal to a_x is inside twice.
+        for a in np.random.default_rng(12).standard_normal((20, 3)):
+            region = HalfSpaceSet(a, -1e-6, CTX.tol)
+            report = injectivity_check(region, CTX, samples=10_000, rng=np.random.default_rng(5))
+            assert report.samples == 10_000
+            assert report.violations > 0
+            assert report.worst_margin > 0.0
+
+    def test_equatorial_pair_without_spatial_covector(self):
+        # t > -1e-6 at n = 3: a_x = 0, so any unit spatial w gives the pair.
+        ctx = SpacetimeContext(radius=2.0, n=3)
+        region = HalfSpaceSet((0.0, 0.0, 0.0, 1.0), -1e-6, ctx.tol * 2.0)
+        report = injectivity_check(region, ctx, samples=10_000, rng=np.random.default_rng(5))
+        assert report.violations > 0 and report.worst_margin == 1e-6
+
     def test_sparse_region_takes_further_draws(self, monkeypatch):
         # |x_1 - t| > 4R holds for few events with |t| <= 3R, so one draw of
         # `samples` points cannot give every test; no pair is inside twice.
