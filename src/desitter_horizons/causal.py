@@ -20,6 +20,7 @@ from .manifold import (
     SpacetimeContext,
     WorldLine,
     canonical_worldline,
+    _check_span,
     _complement,
     _unit_vectors,
 )
@@ -85,7 +86,7 @@ class HalfSpaceSet:
         return np.asarray(points, dtype=float) @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
-        m = float(self.margins(np.asarray(point, dtype=float)))
+        m = float(self.margins(point))
         return _verdict(m, self.band, open_only=self.hyperplane)
 
     def contains(self, point) -> bool:
@@ -177,9 +178,11 @@ def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     # time_sign = -1 reverses time in p's canonical frame: future for past.
     ctx = p.context
     _check_context(ctx, q.context)
-    qc = p._frame.inverse().matrix @ q.point
-    margin = _past_margin(qc[0], time_sign * qc[-1], ctx.radius)
-    return _verdict(float(margin), ctx.tol * ctx.radius)
+    x1, t = (p._frame_rows @ q.point).tolist()
+    # _past_margin on floats: np.minimum's rule, b unless a < b, keeps the
+    # sign of a zero margin.
+    a, b = x1 - ctx.radius, -(time_sign * t)
+    return _verdict(a if a < b else b, ctx.tol * ctx.radius)
 
 
 def chord_oracle(p: Event, q: Event) -> CausalVerdict:
@@ -222,9 +225,13 @@ def sample_causal_past_canonical(
 def _canonical_past_x1_t(
     ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (x_1, t) draws of sample_causal_past_canonical, in its order."""
-    t = -rng.uniform(0.0, 3.0 * ctx.radius, count)
-    x1 = rng.uniform(ctx.radius, np.sqrt(ctx.radius**2 + t**2))
+    """The (x_1, t) draws of sample_causal_past_canonical, in its order.
+    x_1 is uniform in [R, sqrt(R^2 + t^2)], drawn as Generator.uniform draws
+    it with array bounds: low + (high - low) * random."""
+    _check_span(ctx, 3.0)
+    r = ctx.radius
+    t = -rng.uniform(0.0, 3.0 * r, count)
+    x1 = r + (np.sqrt(r**2 + t**2) - r) * rng.random(count)
     return x1, t
 
 
@@ -240,6 +247,7 @@ def sample_horizon(
     On either null plane the remaining spatial coordinates sweep a sphere of
     radius R, independent of t.
     """
+    _check_span(ctx, t_span)
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
     dirs = _unit_vectors(rng, count, ctx.n - 1)
@@ -270,7 +278,7 @@ def nesting_check(
     rng = np.random.default_rng(0) if rng is None else rng
     x1, t = _canonical_past_x1_t(ctx, samples, rng)
     margins = _past_margin_at(x1, t, psi2 - psi1, ctx.radius)
-    violations = int(np.sum(margins < -ctx.tol * ctx.radius))
+    violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
         violations=violations,

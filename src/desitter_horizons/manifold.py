@@ -88,6 +88,7 @@ class Event:
 
     def __post_init__(self):
         point = _as_point(self.point, self.context).copy()
+        point.flags.writeable = False
         object.__setattr__(self, "point", point)
         if not _member(point, self.context):
             raise ValueError(
@@ -113,20 +114,25 @@ class Event:
 
         Negation is exact and <-x, -x> equals <x, x> bit for bit, and the
         throat point's residual is exactly 0, so such a point is certified
-        already; the Event takes ownership of `point`.
+        already; the Event takes ownership of `point` and makes it read-only.
         """
+        point.flags.writeable = False
         e = object.__new__(cls)
         object.__setattr__(e, "point", point)
         object.__setattr__(e, "context", context)
         return e
 
     @functools.cached_property
-    def _frame(self) -> Isometry:
-        """The canonical frame here (orientation_field is future unit timelike
-        and tangent here by construction), built on first use and kept in the
-        instance __dict__ outside the fields, so ==, hash and repr ignore it.
-        It assumes `point` is not mutated after construction."""
-        return canonicalize(WorldLine._exact(self, orientation_field(self)))
+    def _frame_rows(self) -> np.ndarray:
+        """The x_1 and t rows of the inverse canonical frame here, read-only
+        (orientation_field is future unit timelike and tangent here by
+        construction). They are built on first use and kept in the instance
+        __dict__ outside the fields, so ==, hash and repr ignore them; `point`
+        is read-only, so they cannot go stale."""
+        frame = canonicalize(WorldLine._exact(self, orientation_field(self)))
+        rows = frame.inverse().matrix[[0, -1]]
+        rows.flags.writeable = False
+        return rows
 
     @property
     def spatial(self) -> np.ndarray:
@@ -168,16 +174,38 @@ class SliceSphere:
         return _negligible(e.t - self.t, _norm(e.point), self.context.tol, 2)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a 2-d array, the squares summed column
+    by column: left to right, as np.linalg.norm(v, axis=1) sums rows shorter
+    than 8, so the two agree bit for bit there."""
+    s = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        s += v[:, k] * v[:, k]
+    return np.sqrt(s)
+
+
 def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = _row_norms(v)
     # Resample degenerate draws; probability ~0 but keeps the result total.
-    bad = norms[:, 0] < 1e-12
+    bad = norms < 1e-12
     while np.any(bad):
         v[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norms[:, 0] < 1e-12
-    return v / norms
+        norms = _row_norms(v)
+        bad = norms < 1e-12
+    # Column by column, as in _row_norms: v / norms[:, None] bit for bit.
+    for k in range(dim):
+        v[:, k] /= norms
+    return v
+
+
+def _check_span(ctx: SpacetimeContext, t_span: float) -> None:
+    """Raise ValueError unless events with |t| <= t_span R are representable:
+    Event's membership test sums |x|^2 + t^2 + R^2 = 2 (1 + t_span^2) R^2."""
+    r = ctx.radius
+    t = t_span * r
+    if not math.isfinite(2.0 * (r * r + t * t)):
+        raise ValueError(f"2 (1 + t_span^2) R^2 is not finite for t_span {t_span}, radius {r}")
 
 
 def sample_hyperboloid(
@@ -187,10 +215,18 @@ def sample_hyperboloid(
     t_span: float = 3.0,
 ) -> np.ndarray:
     """Random events with t uniform in [-t_span*R, t_span*R], shape (count, n+1)."""
+    _check_span(ctx, t_span)
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
     dirs = _unit_vectors(rng, count, ctx.n)
-    return np.column_stack((dirs * np.sqrt(r**2 + t**2)[:, None], t))
+    # The products of dirs * radii[:, None] written column by column into
+    # the result, past numpy's slower broadcasting path and a column_stack.
+    radii = np.sqrt(r**2 + t**2)
+    pts = np.empty((count, ctx.n + 1))
+    for k in range(ctx.n):
+        np.multiply(dirs[:, k], radii, out=pts[:, k])
+    pts[:, -1] = t
+    return pts
 
 
 def _check_direction(p: Event, u: np.ndarray, uu: float, name: str, kind: str) -> None:

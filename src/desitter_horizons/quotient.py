@@ -94,7 +94,7 @@ def injectivity_check(
         tested = np.concatenate(
             (anti_margins[margins > band], margins[anti_margins > band])
         )[: samples - collected]
-        violations += int(np.sum(tested > -band))
+        violations += int(np.count_nonzero(tested > -band))
         worst = max(worst, float(tested.max(initial=-np.inf)))
         collected += tested.size
         if collected == samples:
@@ -122,10 +122,10 @@ def horizon_symmetry_check(
     for same, other in ((past, future), (future, past)):
         pts = sample_horizon(ctx, samples, rng, future=same is future)
         residuals = np.abs(same.margins(-pts))
-        violations += int(np.sum(residuals > band))
+        violations += int(np.count_nonzero(residuals > band))
         worst = max(worst, float(residuals.max()))
         # Cross check: -e on the other horizon forces x_1 = t = 0.
         on_other = np.abs(other.margins(-pts)) <= band
         degenerate = (np.abs(pts[:, 0]) <= band) & (np.abs(pts[:, -1]) <= band)
-        violations += int(np.sum(on_other & ~degenerate))
+        violations += int(np.count_nonzero(on_other & ~degenerate))
     return SamplingReport(samples=2 * samples, violations=violations, worst_margin=worst)

@@ -200,12 +200,27 @@ class TestFrameReuse:
         assert built == [p, other]
 
     def test_frame_is_the_canonical_frame_and_not_a_field(self):
+        # The cache holds the x_1 and t rows of the inverse canonical frame.
         p = event(CTX, 1.0, 1.0, 1.0)
         text, key = repr(p), hash(p)
         causal_past_of_event(p, p)
-        assert vars(p)["_frame"] == canonicalize(WorldLine(p, orientation_field(p)))
+        rows = vars(p)["_frame_rows"]
+        frame = canonicalize(WorldLine(p, orientation_field(p)))
+        expected = frame.inverse().matrix[[0, -1]]
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+        assert not rows.flags.writeable
         assert repr(p) == text and hash(p) == key
         assert p == event(CTX, 1.0, 1.0, 1.0)
+
+    def test_point_cannot_be_mutated_under_the_cached_rows(self):
+        # A write into p.point would leave rows that answer for the old p.
+        coords = np.array([1.0, 0.0, 0.0])
+        p = Event(point=coords, context=CTX)
+        causal_past_of_event(event(CTX, -1.0, 0.0, 0.0), p)
+        with pytest.raises(ValueError):
+            p.point[:] = (-1.0, 0.0, 0.0)
+        coords[0] = -1.0  # the caller's array is copied, not frozen
+        np.testing.assert_array_equal(p.point, [1.0, 0.0, 0.0])
 
 
 class TestOneSpacetime:
@@ -515,6 +530,27 @@ class TestRadiusRange:
                 if abs(chord.margin) > 1e-7 * radius**2:
                     assert frame.region is chord.region
 
+    def test_samplers_refuse_spans_they_cannot_represent(self):
+        # At t_span 3 the membership sum 2 (1 + t_span^2) R^2 overflows for
+        # R = 9e153; at t_span 0.2 (above) it does not.
+        ctx = SpacetimeContext(radius=9e153, n=3)
+        rng = np.random.default_rng(10)
+        calls = (
+            lambda: sample_hyperboloid(ctx, 10, rng, 3.0),
+            lambda: sample_hyperboloid(CTX, 10, rng, math.inf),
+            lambda: sample_horizon(ctx, 10, rng),
+            lambda: sample_horizon(ctx, 10, rng, future=True),
+            lambda: sample_causal_past_canonical(ctx, 10, rng),
+            lambda: nesting_check(ctx, 0.0, 0.5, samples=10, rng=rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
+        spans = (sample_hyperboloid(ctx, 100, rng, 0.2), sample_horizon(ctx, 100, rng, t_span=0.2))
+        for pts in spans:
+            for p in pts:
+                Event(point=p, context=ctx)
+
 
 class TestZeroTolerance:
     """tol = 0 means exact up to the rounding of the form: the frame route
@@ -810,6 +846,45 @@ class TestSamplerPin:
                 rng = np.random.default_rng([n, k, 7])
                 h.update(sample_causal_past_canonical(ctx, 200, rng).tobytes())
         assert h.hexdigest() == self.DIGEST
+
+
+def _reference_unit_vectors(rng, count, dim):
+    v = rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _reference_hyperboloid(ctx, count, rng, t_span):
+    r = ctx.radius
+    t = rng.uniform(-t_span * r, t_span * r, count)
+    dirs = _reference_unit_vectors(rng, count, ctx.n)
+    return np.column_stack((dirs * np.sqrt(r**2 + t**2)[:, None], t))
+
+
+def _reference_causal_past(ctx, count, rng):
+    r = ctx.radius
+    t = -rng.uniform(0.0, 3.0 * r, count)
+    x1 = rng.uniform(r, np.sqrt(r**2 + t**2))
+    rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
+    dirs = _reference_unit_vectors(rng, count, ctx.n - 1)
+    return np.column_stack((x1, dirs * rest_r[:, None], t))
+
+
+class TestSamplerKernels:
+    """The samplers equal a reference written with np.linalg.norm,
+    broadcasting, np.column_stack and Generator.uniform bit for bit, at every
+    n from 2 to 7: the digests pin only some n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_samplers_match_the_reference(self, n, radius):
+        ctx = SpacetimeContext(radius=radius, n=n)
+        for t_span in (3.0, 1e2):
+            got = sample_hyperboloid(ctx, 500, np.random.default_rng([n, 13]), t_span)
+            want = _reference_hyperboloid(ctx, 500, np.random.default_rng([n, 13]), t_span)
+            assert got.tobytes() == want.tobytes()
+        got = sample_causal_past_canonical(ctx, 500, np.random.default_rng([n, 14]))
+        want = _reference_causal_past(ctx, 500, np.random.default_rng([n, 14]))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCausalSetGate:
