@@ -144,17 +144,12 @@ def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
     return _set(ctx, 1.0, 1.0, hyperplane=True)
 
 
-def _past_margin(x1, t, r: float):
-    """Margin of canonical (x_1, t), floats or arrays, against the causal past
-    {x_1 >= R, t <= 0} of the throat event: the worse of the two residuals."""
-    return np.minimum(x1 - r, -t)
-
-
-def _past_margin_at(x1, t, psi: float, r: float):
-    """Margin of (x_1, t), floats or arrays, against the causal past of L(psi):
-    _past_margin of the x_1 and t rows of boost(-psi) applied to (x_1, t)."""
+def _past_residuals_at(x1, t, psi: float, r: float):
+    """Residuals x_1' - R and -t' of (x_1, t), floats or arrays, against the
+    causal past of L(psi), (x_1', t') being the x_1 and t rows of boost(-psi)
+    applied to (x_1, t); the margin is the worse of the two."""
     c, s = math.cosh(psi), math.sinh(psi)
-    return _past_margin(c * x1 - s * t, c * t - s * x1, r)
+    return c * x1 - s * t - r, -(c * t - s * x1)
 
 
 def causal_past_of_event(q: Event, p: Event) -> CausalVerdict:
@@ -179,8 +174,8 @@ def _frame_verdict(q: Event, p: Event, time_sign: float) -> CausalVerdict:
     ctx = p.context
     _check_context(ctx, q.context)
     x1, t = (p._frame_rows @ q.point).tolist()
-    # _past_margin on floats: np.minimum's rule, b unless a < b, keeps the
-    # sign of a zero margin.
+    # The worse residual by np.minimum's rule, b unless a < b, which keeps
+    # the sign of a zero margin.
     a, b = x1 - ctx.radius, -(time_sign * t)
     return _verdict(a if a < b else b, ctx.tol * ctx.radius)
 
@@ -277,7 +272,7 @@ def nesting_check(
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
     rng = np.random.default_rng(0) if rng is None else rng
     x1, t = _canonical_past_x1_t(ctx, samples, rng)
-    margins = _past_margin_at(x1, t, psi2 - psi1, ctx.radius)
+    margins = np.minimum(*_past_residuals_at(x1, t, psi2 - psi1, ctx.radius))
     violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
@@ -379,9 +374,10 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     _check_context(ctx, q.context)
     r = ctx.radius
     x1, t = float(q.point[0]), float(q.point[-1])
-    if _past_margin_at(x1, t, _PSI_MAX, r) <= 0.0:
+    a, b = _past_residuals_at(x1, t, _PSI_MAX, r)
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("event is not inside the observed region J^-(L)")
-    # margin(_PSI_MAX) > 0 forces x_1 - t > 0, so the logarithm is finite.
+    # Both residuals > 0 at _PSI_MAX force x_1 - t > 0: the log is finite.
     u = x1 - t
     disc = max(r * r - u * (x1 + t), 0.0)
     start = max(math.log((r + math.sqrt(disc)) / u), -_PSI_MAX)
@@ -390,7 +386,8 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     for k in range(_NUDGE_CAP):
         if psi >= _PSI_MAX:
             break
-        if _past_margin_at(x1, t, psi, r) > 0.0:
+        a, b = _past_residuals_at(x1, t, psi, r)
+        if a > 0.0 and b > 0.0:
             return psi
         psi = start + step * 2.0**k
     return _PSI_MAX

@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             t_max=args.t_max,
             resolution=args.resolution,
             psi_list=psi_list,
-            projection=(proj[0], proj[1], 1.0),
+            projection=(proj[0], proj[1]),
         )
         out = args.out or f"horizons_{args.figure}"
         if args.fmt == "both":

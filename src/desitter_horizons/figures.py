@@ -53,25 +53,21 @@ class Polyline:
 
 @dataclass(frozen=True)
 class FigureScene:
-    context: SpacetimeContext
     polylines: tuple[Polyline, ...]
     markers: np.ndarray  # shape (m, 3) marked events
-    projection: tuple[float, float, float] = (0.35, 0.20, 1.0)
+    projection: tuple[float, float] = (0.35, 0.20)  # cabinet coefficients ux1, vx1
     compactified: bool = False
-    t_max: float = 2.0
 
     def __post_init__(self):
-        if not self.compactified and not self.t_max > 0.0:
-            raise ValueError("finite scenes need t_max > 0")
         object.__setattr__(self, "markers", np.asarray(self.markers, dtype=float))
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Cabinet projection to screen coordinates (u, v)."""
-        cu, cv, scale = self.projection
+        cu, cv = self.projection
         pts = np.asarray(points, dtype=float)
         u = pts[:, 1] - cu * pts[:, 0]
         v = pts[:, 2] - cv * pts[:, 0]
-        return scale * np.column_stack([u, v])
+        return np.column_stack([u, v])
 
 
 def compactify(points: np.ndarray, radius: float) -> np.ndarray:
@@ -106,14 +102,15 @@ def build_scene(
     t_max: float = 2.0,
     resolution: int = 64,
     psi_list=None,
-    projection: tuple[float, float, float] = (0.35, 0.20, 1.0),
+    projection: tuple[float, float] = (0.35, 0.20),
 ) -> FigureScene:
     """Assemble the polylines of one figure.
 
     figure: "fig2" (finite time), "fig3" (compactified), or "cones"
     ("fig2" plus light-cone curves for each rapidity in psi_list).
-    Raises ValueError for a non-finite t_max, rapidity or projection
-    coefficient, and when the vertices or their projection are not finite.
+    Raises ValueError unless projection is two numbers (ux1, vx1), for a
+    non-finite t_max, rapidity or projection coefficient, and when the
+    vertices or their projection are not finite.
     """
     if ctx.n != 2:
         raise ValueError(
@@ -127,6 +124,8 @@ def build_scene(
     psi_values = DEFAULT_PSI_LIST if psi_list is None else tuple(psi_list)
     if figure == "cones" and not psi_values:
         raise ValueError("the cones figure needs at least one rapidity")
+    if np.shape(projection) != (2,):
+        raise ValueError(f"projection must be two coefficients (ux1, vx1), got {projection}")
     checks = (("t_max", (t_max,)), ("rapidities", psi_values), ("projection", projection))
     for name, values in checks:
         if not all(math.isfinite(v) for v in values):
@@ -213,14 +212,7 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
         ]
         markers = compactify(markers, r)
 
-    return FigureScene(
-        context=ctx,
-        polylines=tuple(polylines),
-        markers=markers,
-        projection=projection,
-        compactified=compactified,
-        t_max=t_max,
-    )
+    return FigureScene(tuple(polylines), markers, projection, compactified)
 
 
 def _null_space_direction(normal: np.ndarray) -> np.ndarray:

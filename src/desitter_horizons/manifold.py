@@ -161,6 +161,7 @@ class SliceSphere:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValueError(f"slice time must be finite, got {self.t}")
+        _check_span(self.context, abs(self.t) / self.context.radius)
         r = math.hypot(self.context.radius, self.t)
         object.__setattr__(self, "spatial_radius", r)
 

@@ -699,6 +699,60 @@ class TestUnionWitnessClosedForm:
                         union_witness(ctx, Event(point=p, context=ctx))
 
 
+def _minimum_form_witness(ctx, q):
+    """union_witness with its margin taken as np.minimum of the two residuals,
+    kept here to pin that testing both residuals > 0 changes no bit."""
+    r = ctx.radius
+    x1, t = float(q.point[0]), float(q.point[-1])
+
+    def margin(psi):
+        c, s = math.cosh(psi), math.sinh(psi)
+        return np.minimum(c * x1 - s * t - r, -(c * t - s * x1))
+
+    if margin(_PSI_MAX) <= 0.0:
+        return None
+    u = x1 - t
+    disc = max(r * r - u * (x1 + t), 0.0)
+    start = max(math.log((r + math.sqrt(disc)) / u), -_PSI_MAX)
+    step = math.ulp(max(abs(start), 1.0))
+    psi = start
+    for k in range(64):
+        if psi >= _PSI_MAX:
+            break
+        if margin(psi) > 0.0:
+            return psi
+        psi = start + step * 2.0**k
+    return _PSI_MAX
+
+
+class TestWitnessPin:
+    def test_bit_identical_to_minimum_form(self):
+        witnessed = refused = 0
+        for n in (2, 3, 6):
+            for r in (1e-3, 1.0, 1e3):
+                ctx = SpacetimeContext(radius=r, n=n)
+                for t_span in (2.0, 1e2, 1e4):
+                    rng = np.random.default_rng([n, int(t_span), 57])
+                    pts = np.concatenate(
+                        [
+                            sample_hyperboloid(ctx, 60, rng, t_span=t_span),
+                            sample_horizon(ctx, 10, rng, t_span=t_span),
+                        ]
+                    )
+                    for p in pts:
+                        q = Event(point=p, context=ctx)
+                        ref = _minimum_form_witness(ctx, q)
+                        if ref is None:
+                            refused += 1
+                            with pytest.raises(ValueError):
+                                union_witness(ctx, q)
+                        else:
+                            witnessed += 1
+                            psi = union_witness(ctx, q)
+                            assert np.float64(psi).tobytes() == np.float64(ref).tobytes()
+        assert witnessed > 500 and refused > 500
+
+
 class TestRulingProperty:
     def test_horizon_samples_lie_on_the_two_rays(self):
         rng = np.random.default_rng(41)

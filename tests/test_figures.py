@@ -84,8 +84,6 @@ class TestBuildScene:
                 assert abs(p[0] ** 2 + p[1] ** 2 - p[2] ** 2 - 1.0) <= 1e-8
 
     def test_validation_errors(self):
-        from desitter_horizons.figures import FigureScene
-
         with pytest.raises(ValueError, match="n = 2"):
             build_scene(SpacetimeContext(radius=1.0, n=3), "fig2")
         with pytest.raises(ValueError, match="resolution"):
@@ -94,8 +92,6 @@ class TestBuildScene:
             build_scene(CTX, "fig5")
         with pytest.raises(ValueError, match="t_max must be positive"):
             build_scene(CTX, "fig2", t_max=0.0)
-        with pytest.raises(ValueError, match="t_max > 0"):
-            FigureScene(CTX, (), np.empty((0, 3)), t_max=0)
 
     @pytest.mark.parametrize(
         "figure,kw,match",
@@ -103,11 +99,11 @@ class TestBuildScene:
             ("fig2", {"t_max": math.inf}, "t_max must be finite"),
             ("fig3", {"t_max": math.nan}, "t_max must be finite"),
             ("cones", {"psi_list": [0.0, math.nan]}, "rapidities must be finite"),
-            ("fig2", {"projection": (0.35, math.nan, 1.0)}, "projection must be finite"),
+            ("fig2", {"projection": (0.35, math.nan)}, "projection must be finite"),
             ("cones", {"psi_list": []}, "at least one rapidity"),
             ("fig2", {"t_max": 1e200}, "not finite"),
             ("cones", {"psi_list": [1000.0]}, "not finite"),
-            ("fig2", {"projection": (5e307, 0.2, 1.0)}, "not finite"),
+            ("fig2", {"projection": (5e307, 0.2)}, "not finite"),
         ],
         ids=[
             "t-max-inf",
@@ -123,6 +119,20 @@ class TestBuildScene:
     def test_rejects_non_finite_and_overflowing_inputs(self, figure, kw, match):
         with pytest.raises(ValueError, match=match):
             _scene(figure, **kw)
+
+    @pytest.mark.parametrize("projection", [(0.35, 0.2, 1.0), (0.35,), 0.35])
+    def test_projection_needs_two_coefficients(self, projection):
+        with pytest.raises(ValueError, match="projection"):
+            build_scene(CTX, "fig2", projection=projection)
+
+    def test_scene_holds_only_what_the_emitters_read(self):
+        from dataclasses import fields
+
+        from desitter_horizons.figures import FigureScene
+
+        names = [f.name for f in fields(FigureScene)]
+        assert names == ["polylines", "markers", "projection", "compactified"]
+        assert len(_scene().projection) == 2
 
     @pytest.mark.parametrize("radius", [1e300, 1e-300])
     def test_radius_out_of_range(self, radius):
@@ -179,9 +189,7 @@ class TestEmitCsv:
     def test_header_only_for_empty_scene(self, tmp_path):
         from desitter_horizons.figures import FigureScene
 
-        scene = FigureScene(
-            context=CTX, polylines=(), markers=np.empty((0, 3)), t_max=1.0
-        )
+        scene = FigureScene(polylines=(), markers=np.empty((0, 3)))
         path = tmp_path / "empty.csv"
         emit_csv(scene, path)
         assert path.read_text() == "label,polyline,vertex,x1,x2,t,u,v\n"
@@ -364,7 +372,7 @@ class TestByteIdentityGate:
     def test_empty_scene(self, tmp_path):
         from desitter_horizons.figures import FigureScene
 
-        scene = FigureScene(context=CTX, polylines=(), markers=np.empty((0, 3)), t_max=1.0)
+        scene = FigureScene(polylines=(), markers=np.empty((0, 3)))
         emit_csv(scene, tmp_path / "empty.csv")
         emit_svg(scene, tmp_path / "empty.svg")
         for fname in ("empty.csv", "empty.svg"):

@@ -154,6 +154,18 @@ class TestSliceSphere:
         with pytest.raises(ValueError, match="finite"):
             SliceSphere(CTX, t)
 
+    def test_unrepresentable_time_rejected(self):
+        # 2 (R^2 + t^2) overflows, so Event could not take a sampled row.
+        with pytest.raises(ValueError, match="not finite"):
+            SliceSphere(CTX, 1e200)
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_large_representable_time_samples_events(self, radius):
+        ctx = SpacetimeContext(radius=radius)
+        sl = SliceSphere(ctx, 3e153)
+        for p in sl.sample(200, np.random.default_rng(2)):
+            assert Event(point=p, context=ctx).t == 3e153
+
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     def test_contains_is_unit_consistent(self, radius):
         # The band is tol * |e|_E, so the R-scaled event gets one answer.
