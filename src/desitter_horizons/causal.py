@@ -22,6 +22,7 @@ from .manifold import (
     canonical_worldline,
     _check_span,
     _complement,
+    _read_only_copy,
     _unit_vectors,
 )
 from .minkowski import _form, _norm
@@ -29,6 +30,7 @@ from .minkowski import _form, _norm
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
 _PSI_MAX = 60.0
+_COSH_PSI_MAX, _SINH_PSI_MAX = math.cosh(_PSI_MAX), math.sinh(_PSI_MAX)
 # Upper bound on the doubling steps of the witness nudge; the step reaches
 # the width of the whole window [-_PSI_MAX, _PSI_MAX] well before this.
 _NUDGE_CAP = 64
@@ -66,7 +68,7 @@ class HalfSpaceSet:
     when `hyperplane` is set, with a tolerance band.
 
     The margin a . coords(e) - c is positive inside; members of a hyperplane
-    are always Boundary.
+    are always Boundary. The set keeps a read-only copy of the covector.
     """
 
     covector: np.ndarray
@@ -75,18 +77,32 @@ class HalfSpaceSet:
     hyperplane: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.covector, dtype=float)
+        a = _read_only_copy(self.covector)
         if not np.any(a):
             raise ValueError("covector must be nonzero")
         object.__setattr__(self, "covector", a)
         object.__setattr__(self, "threshold", float(self.threshold))
+
+    @classmethod
+    def _exact(
+        cls, covector: np.ndarray, threshold: float, band: float, hyperplane: bool
+    ) -> "HalfSpaceSet":
+        """Wrap a fresh, nonzero float covector and a float threshold, which
+        need no checks; the set takes ownership of `covector`."""
+        covector.setflags(write=False)
+        s = object.__new__(cls)
+        s.__dict__.update(
+            covector=covector, threshold=threshold, band=band, hyperplane=hyperplane
+        )
+        return s
 
     def margins(self, points: np.ndarray) -> np.ndarray:
         """Vectorized margins for points of shape (..., n+1)."""
         return np.asarray(points, dtype=float) @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
-        m = float(self.margins(point))
+        # float(margins(point)), the subtraction on floats.
+        m = float(np.asarray(point, dtype=float) @ self.covector) - self.threshold
         return _verdict(m, self.band, open_only=self.hyperplane)
 
     def contains(self, point) -> bool:
@@ -105,7 +121,7 @@ def _set(
     a = np.zeros(ctx.n + 1)
     a[0] = x1
     a[-1] = t
-    return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
+    return HalfSpaceSet._exact(a, float(threshold), ctx.tol * ctx.radius, hyperplane)
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
@@ -144,11 +160,11 @@ def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
     return _set(ctx, 1.0, 1.0, hyperplane=True)
 
 
-def _past_residuals_at(x1, t, psi: float, r: float):
-    """Residuals x_1' - R and -t' of (x_1, t), floats or arrays, against the
-    causal past of L(psi), (x_1', t') being the x_1 and t rows of boost(-psi)
-    applied to (x_1, t); the margin is the worse of the two."""
-    c, s = math.cosh(psi), math.sinh(psi)
+def _past_residuals(x1: float, t: float, c: float, s: float, r: float):
+    """Residuals x_1' - R and -t' of (x_1, t) against the causal past of
+    L(psi), (x_1', t') being the x_1 and t rows of boost(-psi), c = cosh(psi)
+    and s = sinh(psi), applied to (x_1, t); the margin is the worse of the
+    two. nesting_check computes them on arrays, in place."""
     return c * x1 - s * t - r, -(c * t - s * x1)
 
 
@@ -220,13 +236,21 @@ def sample_causal_past_canonical(
 def _canonical_past_x1_t(
     ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (x_1, t) draws of sample_causal_past_canonical, in its order.
-    x_1 is uniform in [R, sqrt(R^2 + t^2)], drawn as Generator.uniform draws
-    it with array bounds: low + (high - low) * random."""
+    """The (x_1, t) draws of sample_causal_past_canonical, in its order:
+    t = -uniform(0, 3R) and x_1 uniform in [R, sqrt(R^2 + t^2)], each as
+    Generator.uniform draws it, low + (high - low) * random. Computed in
+    place, since -(0 + 3R u) is -3R u and R + (h - R) u is (h - R) u + R bit
+    for bit."""
     _check_span(ctx, 3.0)
     r = ctx.radius
-    t = -rng.uniform(0.0, 3.0 * r, count)
-    x1 = r + (np.sqrt(r**2 + t**2) - r) * rng.random(count)
+    t = rng.random(count)
+    t *= -3.0 * r
+    x1 = np.square(t)
+    x1 += r**2
+    np.sqrt(x1, out=x1)
+    x1 -= r
+    x1 *= rng.random(count)
+    x1 += r
     return x1, t
 
 
@@ -272,7 +296,17 @@ def nesting_check(
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
     rng = np.random.default_rng(0) if rng is None else rng
     x1, t = _canonical_past_x1_t(ctx, samples, rng)
-    margins = np.minimum(*_past_residuals_at(x1, t, psi2 - psi1, ctx.radius))
+    c, s = math.cosh(psi2 - psi1), math.sinh(psi2 - psi1)
+    # The minimum of the two _past_residuals, c x_1 - s t - R and
+    # -(c t - s x_1), computed in place in the same order of operations.
+    margins = c * x1
+    margins -= s * t
+    margins -= ctx.radius
+    t *= c
+    x1 *= s
+    t -= x1
+    np.negative(t, out=t)
+    np.minimum(margins, t, out=margins)
     violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
@@ -308,6 +342,9 @@ class ThroatIntersection:
 
     context: SpacetimeContext
     plane_normal: np.ndarray  # spatial covector a of the horizon plane, unit
+
+    def __post_init__(self):
+        object.__setattr__(self, "plane_normal", _read_only_copy(self.plane_normal))
 
     @property
     def center(self) -> Event:
@@ -373,8 +410,9 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     """
     _check_context(ctx, q.context)
     r = ctx.radius
-    x1, t = float(q.point[0]), float(q.point[-1])
-    a, b = _past_residuals_at(x1, t, _PSI_MAX, r)
+    point = q.point.tolist()
+    x1, t = point[0], point[-1]
+    a, b = _past_residuals(x1, t, _COSH_PSI_MAX, _SINH_PSI_MAX, r)
     if not (a > 0.0 and b > 0.0):
         raise ValueError("event is not inside the observed region J^-(L)")
     # Both residuals > 0 at _PSI_MAX force x_1 - t > 0: the log is finite.
@@ -386,7 +424,7 @@ def union_witness(ctx: SpacetimeContext, q: Event) -> float:
     for k in range(_NUDGE_CAP):
         if psi >= _PSI_MAX:
             break
-        a, b = _past_residuals_at(x1, t, psi, r)
+        a, b = _past_residuals(x1, t, math.cosh(psi), math.sinh(psi), r)
         if a > 0.0 and b > 0.0:
             return psi
         psi = start + step * 2.0**k

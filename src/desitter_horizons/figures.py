@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causal import throat_intersection
-from .manifold import SpacetimeContext, canonical_worldline
+from .manifold import SpacetimeContext, _read_only_copy, canonical_worldline
 from .minkowski import boost
 
 LABELS = frozenset(
@@ -45,7 +45,7 @@ class Polyline:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"unknown polyline label {self.label!r}")
-        pts = np.asarray(self.points, dtype=float)
+        pts = _read_only_copy(self.points)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise ValueError(f"points must have shape (k, 3) with k >= 1, got {pts.shape}")
         object.__setattr__(self, "points", pts)
@@ -59,7 +59,7 @@ class FigureScene:
     compactified: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "markers", np.asarray(self.markers, dtype=float))
+        object.__setattr__(self, "markers", _read_only_copy(self.markers))
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Cabinet projection to screen coordinates (u, v)."""

@@ -74,6 +74,13 @@ def _member(v: np.ndarray, ctx: SpacetimeContext) -> bool:
     return abs(space - time - r2) <= max(ctx.tol * r2, floor) < math.inf
 
 
+def _read_only_copy(a) -> np.ndarray:
+    """A read-only float copy of an array-like, which nothing else holds."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
     """Membership: |<v, v> - R^2| <= max(tol R^2, gamma (|x|^2 + t^2 + R^2))."""
     return _member(_as_point(v, ctx), ctx)
@@ -88,7 +95,7 @@ class Event:
 
     def __post_init__(self):
         point = _as_point(self.point, self.context).copy()
-        point.flags.writeable = False
+        point.setflags(write=False)
         object.__setattr__(self, "point", point)
         if not _member(point, self.context):
             raise ValueError(
@@ -99,9 +106,10 @@ class Event:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        a, b = self.point, other.point
         same = self.context is other.context or self.context == other.context
-        return same and a.shape == b.shape and bool((a == b).all())
+        # Points are 1-d float arrays: equal lists are equal shapes and
+        # values, with -0.0 == 0.0 as for the arrays.
+        return same and self.point.tolist() == other.point.tolist()
 
     def __hash__(self) -> int:
         # + 0.0 maps -0.0 to 0.0, which == treats as equal.
@@ -116,7 +124,7 @@ class Event:
         throat point's residual is exactly 0, so such a point is certified
         already; the Event takes ownership of `point` and makes it read-only.
         """
-        point.flags.writeable = False
+        point.setflags(write=False)
         e = object.__new__(cls)
         object.__setattr__(e, "point", point)
         object.__setattr__(e, "context", context)
@@ -186,18 +194,19 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((count, dim))
-    norms = _row_norms(v)
+    """Unit rows from normal draws, shape (count, dim): the transpose of a
+    C-contiguous (dim, count) array, so each column is contiguous."""
+    v = rng.standard_normal((count, dim)).T.copy()
+    norms = _row_norms(v.T)
     # Resample degenerate draws; probability ~0 but keeps the result total.
     bad = norms < 1e-12
-    while np.any(bad):
-        v[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = _row_norms(v)
+    while bad.any():
+        v[:, bad] = rng.standard_normal((int(bad.sum()), dim)).T
+        norms = _row_norms(v.T)
         bad = norms < 1e-12
-    # Column by column, as in _row_norms: v / norms[:, None] bit for bit.
-    for k in range(dim):
-        v[:, k] /= norms
-    return v
+    # Each row of v is a column of the draws: v.T / norms[:, None] bit for bit.
+    v /= norms
+    return v.T
 
 
 def _check_span(ctx: SpacetimeContext, t_span: float) -> None:

@@ -90,10 +90,11 @@ def injectivity_check(
         # margins(-pts) is -s - c bit for bit: negation is exact.
         s = pts @ region.covector
         margins, anti_margins = s - region.threshold, -s - region.threshold
-        # The antipodes' margins of the pair members that fall inside.
-        tested = np.concatenate(
-            (anti_margins[margins > band], margins[anti_margins > band])
-        )[: samples - collected]
+        # The antipodes' margins of the pair members that fall inside, taken
+        # at nonzero() indices: a gather beats a boolean mask's branches.
+        inside, anti_inside = (margins > band).nonzero(), (anti_margins > band).nonzero()
+        tested = np.concatenate((anti_margins[inside], margins[anti_inside]))
+        tested = tested[: samples - collected]
         violations += int(np.count_nonzero(tested > -band))
         worst = max(worst, float(tested.max(initial=-np.inf)))
         collected += tested.size

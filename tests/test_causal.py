@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from desitter_horizons import manifold
 from desitter_horizons.causal import (
     _PSI_MAX,
+    CausalVerdict,
     HalfSpaceSet,
     Region,
+    ThroatIntersection,
     causal_future_of_event,
     causal_past_of_event,
     chord_oracle,
@@ -31,8 +33,11 @@ from desitter_horizons.causal import (
 )
 from desitter_horizons.manifold import (
     Event,
+    SliceSphere,
     SpacetimeContext,
     WorldLine,
+    _complement,
+    _unit_vectors,
     canonical_worldline,
     canonicalize,
     event,
@@ -100,6 +105,23 @@ class TestHalfSpaces:
     def test_compares_by_identity(self):
         s = J_minus_L(CTX)
         assert s == s and s != J_minus_L(CTX)
+
+    def test_covector_is_a_read_only_copy(self):
+        # A later write into the caller's array must not reach the set.
+        a = np.array([1.0, 0.0, -1.0])
+        s = HalfSpaceSet(a, 0.0, 1e-9)
+        a[0] = 5.0
+        assert s.verdict((1, 0, 0)) == CausalVerdict(Region.INSIDE, 1.0)
+        assert not np.shares_memory(s.covector, a)
+        with pytest.raises(ValueError):
+            s.covector[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "factory", [J_minus_L, J_plus_L, J_plus_negL, J_minus_negL, horizon_past, horizon_future]
+    )
+    def test_factory_covectors_are_read_only(self, factory):
+        with pytest.raises(ValueError):
+            factory(CTX).covector[0] = 5.0
 
     def test_zero_covector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -314,6 +336,23 @@ class TestNesting:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_report_matches_the_out_of_place_formulas(self, n, radius):
+        # nesting_check draws and combines its residuals in place; the
+        # report equals the expressions written out bit for bit.
+        ctx = SpacetimeContext(radius=radius, n=n)
+        for k, (psi1, psi2) in enumerate([(0.0, 0.5), (-3.0, 2.0), (1.0 - 1e-6, 1.0), (-60.0, 60.0)]):
+            got = nesting_check(ctx, psi1, psi2, samples=2000, rng=np.random.default_rng([n, k, 3]))
+            rng = np.random.default_rng([n, k, 3])
+            t = -rng.uniform(0.0, 3.0 * radius, 2000)
+            x1 = radius + (np.sqrt(radius**2 + t**2) - radius) * rng.random(2000)
+            c, s = math.cosh(psi2 - psi1), math.sinh(psi2 - psi1)
+            margins = np.minimum(c * x1 - s * t - radius, -(c * t - s * x1))
+            assert got.samples == 2000
+            assert got.violations == int(np.count_nonzero(margins < -ctx.tol * radius))
+            assert np.float64(got.worst_margin).tobytes() == margins.min().tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("psi1, psi2", [(0.0, 1.0), (-2.0, -1.5), (1.0 - 1e-6, 1.0)])
     def test_matches_matrix_route(self, n, radius, psi1, psi2):
         # The (x_1, t) draws are the common prefix of both routes' streams.
@@ -379,6 +418,15 @@ class TestThroatIntersection:
     def test_compares_by_identity(self):
         ti = throat_intersection(CTX)
         assert ti == ti and ti != throat_intersection(CTX)
+
+    def test_plane_normal_is_a_read_only_copy(self):
+        normal = np.array([1.0, 0.0])
+        ti = ThroatIntersection(CTX, normal)
+        normal[:] = (0.0, 1.0)
+        assert ti.plane_normal.tolist() == [1.0, 0.0]
+        for a in (ti.plane_normal, throat_intersection(CTX).plane_normal):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_derived_fields(self):
         ctx = SpacetimeContext(radius=2.0, n=3)
@@ -839,15 +887,10 @@ class TestVerdictIdentityGate:
         assert _verdict_gate_digest() == self.DIGEST
 
 
-def _set_gate_digest(count=100):
-    """One SHA-256 over the causal sets' margins and regions and the throat
-    normal, on a seeded grid of sampled and on-horizon events.
-
-    Margins are hashed as m + 0.0, which maps -0.0 to +0.0: on an exact zero
-    the sign of a zero margin depends on how the set's orientation is applied,
-    and a zero margin is Boundary either way.
-    """
-    h = hashlib.sha256()
+def _set_gate_cells(count=100):
+    """The seeded grid of _set_gate_digest: for each n in {2, 3, 6} and R in
+    {1e-3, 1, 1e3}, the context, sampled and on-horizon events, and every
+    half-space and hyperplane factory's set."""
     for n in (2, 3, 6):
         for k, r in enumerate((1e-3, 1.0, 1e3)):
             ctx = SpacetimeContext(radius=r, n=n)
@@ -870,18 +913,32 @@ def _set_gate_digest(count=100):
             )
             sets = [f(ctx) for f in factories]
             sets += [cone_at_L_psi(ctx, psi) for psi in (-3.0, 0.0, 0.7, 40.0)]
-            for s in sets:
-                h.update((s.margins(pts) + 0.0).tobytes())
-                for p in pts:
-                    h.update(s.verdict(p).region.value.encode())
-            iso = spatial_rotation((1, 2), 0.7, n).compose(boost(1.1, n))
-            canon = canonical_worldline(ctx)
-            line = WorldLine(
-                base=Event(point=iso.apply(canon.at(0.4)), context=ctx),
-                tangent=iso.apply(canon.velocity(0.4)) / r,
-            )
-            for ti in (throat_intersection(ctx), throat_intersection(ctx, line)):
-                h.update(ti.plane_normal.tobytes())
+            yield ctx, pts, sets
+
+
+def _set_gate_digest(count=100):
+    """One SHA-256 over the causal sets' margins and regions and the throat
+    normal, on a seeded grid of sampled and on-horizon events.
+
+    Margins are hashed as m + 0.0, which maps -0.0 to +0.0: on an exact zero
+    the sign of a zero margin depends on how the set's orientation is applied,
+    and a zero margin is Boundary either way.
+    """
+    h = hashlib.sha256()
+    for ctx, pts, sets in _set_gate_cells(count):
+        for s in sets:
+            h.update((s.margins(pts) + 0.0).tobytes())
+            for p in pts:
+                h.update(s.verdict(p).region.value.encode())
+        n, r = ctx.n, ctx.radius
+        iso = spatial_rotation((1, 2), 0.7, n).compose(boost(1.1, n))
+        canon = canonical_worldline(ctx)
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.at(0.4)), context=ctx),
+            tangent=iso.apply(canon.velocity(0.4)) / r,
+        )
+        for ti in (throat_intersection(ctx), throat_intersection(ctx, line)):
+            h.update(ti.plane_normal.tobytes())
     return h.hexdigest()
 
 
@@ -924,9 +981,10 @@ def _reference_causal_past(ctx, count, rng):
 
 
 class TestSamplerKernels:
-    """The samplers equal a reference written with np.linalg.norm,
-    broadcasting, np.column_stack and Generator.uniform bit for bit, at every
-    n from 2 to 7: the digests pin only some n."""
+    """The samplers, and every other caller of _unit_vectors, equal a
+    reference written with np.linalg.norm, broadcasting, np.column_stack and
+    Generator.uniform bit for bit, at every n from 2 to 7: the digests pin
+    only some n."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
@@ -939,6 +997,75 @@ class TestSamplerKernels:
         got = sample_causal_past_canonical(ctx, 500, np.random.default_rng([n, 14]))
         want = _reference_causal_past(ctx, 500, np.random.default_rng([n, 14]))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_other_callers_match_the_reference(self, n, radius):
+        # _unit_vectors returns the transpose of a C-contiguous array, so
+        # each caller is checked on what it computes from that layout,
+        # ThroatIntersection.sample's matrix product included, for the
+        # canonical observer and a moving one.
+        ctx = SpacetimeContext(radius=radius, n=n)
+        sphere = SliceSphere(ctx, 0.7 * radius)
+        iso = spatial_rotation((1, 2), 0.3, n).compose(boost(0.8, n))
+        canon = canonical_worldline(ctx)
+        line = WorldLine(
+            base=Event(point=iso.apply(canon.at(0.2)), context=ctx),
+            tangent=iso.apply(canon.velocity(0.2)) / radius,
+        )
+
+        def horizon(count, rng, future):
+            t = rng.uniform(-3.0 * radius, 3.0 * radius, count)
+            dirs = _reference_unit_vectors(rng, count, n - 1)
+            return np.column_stack((-t if future else t, radius * dirs, t))
+
+        def throat(ti, count, rng):
+            basis = _complement(ti.plane_normal)
+            dirs = _reference_unit_vectors(rng, count, n - 1)
+            return np.column_stack((radius * dirs @ basis, np.zeros(count)))
+
+        cases = [
+            (lambda c, g: _unit_vectors(g, c, n), lambda c, g: _reference_unit_vectors(g, c, n)),
+            (
+                sphere.sample,
+                lambda c, g: np.column_stack(
+                    (sphere.spatial_radius * _reference_unit_vectors(g, c, n), np.full(c, sphere.t))
+                ),
+            ),
+        ]
+        for future in (False, True):
+            cases.append(
+                (
+                    lambda c, g, f=future: sample_horizon(ctx, c, g, future=f),
+                    lambda c, g, f=future: horizon(c, g, f),
+                )
+            )
+        for ti in (throat_intersection(ctx), throat_intersection(ctx, line)):
+            cases.append((ti.sample, lambda c, g, ti=ti: throat(ti, c, g)))
+        for k, (got_of, want_of) in enumerate(cases):
+            for count in (1, 7, 500):
+                got = got_of(count, np.random.default_rng([n, k, count, 15]))
+                want = want_of(count, np.random.default_rng([n, k, count, 15]))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestHalfSpaceVerdictPin:
+    """HalfSpaceSet.verdict takes its margin as a product and one float
+    subtraction. The set gate hashes only the scalar verdicts' regions, so
+    their margins are pinned here: bit for bit equal to float(margins(p)),
+    the sign of a zero margin included, on the gate's grid."""
+
+    def test_margins_match_the_vectorized_margins(self):
+        zeros = 0
+        for _, pts, sets in _set_gate_cells():
+            for s in sets:
+                for p in pts:
+                    want = float(s.margins(p))
+                    got = s.verdict(p).margin
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    zeros += want == 0.0
+        # The horizon events give exact zero margins, compared by their bytes.
+        assert zeros > 1000
 
 
 class TestCausalSetGate:

@@ -160,6 +160,20 @@ class TestBuildScene:
         with pytest.raises(ValueError, match="k >= 1"):
             Polyline("worldline", np.empty((0, 3)))
 
+    def test_scene_arrays_are_read_only_copies(self):
+        # A later write into the caller's arrays must not reach the scene.
+        from desitter_horizons.figures import FigureScene, Polyline
+
+        points, markers = np.zeros((2, 3)), np.ones((1, 3))
+        line = Polyline("worldline", points)
+        scene = FigureScene(polylines=(line,), markers=markers)
+        points[0, 0] = markers[0, 0] = 7.0
+        assert line.points[0, 0] == 0.0 and scene.markers[0, 0] == 1.0
+        built = _scene()
+        for a in (line.points, scene.markers, built.markers, built.polylines[0].points):
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+
 
 class TestCompactify:
     def test_preserves_hyperboloid_membership(self):
