@@ -83,19 +83,6 @@ class HalfSpaceSet:
         object.__setattr__(self, "covector", a)
         object.__setattr__(self, "threshold", float(self.threshold))
 
-    @classmethod
-    def _exact(
-        cls, covector: np.ndarray, threshold: float, band: float, hyperplane: bool
-    ) -> "HalfSpaceSet":
-        """Wrap a fresh, nonzero float covector and a float threshold, which
-        need no checks; the set takes ownership of `covector`."""
-        covector.setflags(write=False)
-        s = object.__new__(cls)
-        s.__dict__.update(
-            covector=covector, threshold=threshold, band=band, hyperplane=hyperplane
-        )
-        return s
-
     def margins(self, points: np.ndarray) -> np.ndarray:
         """Vectorized margins for points of shape (..., n+1)."""
         return np.asarray(points, dtype=float) @ self.covector - self.threshold
@@ -121,7 +108,7 @@ def _set(
     a = np.zeros(ctx.n + 1)
     a[0] = x1
     a[-1] = t
-    return HalfSpaceSet._exact(a, float(threshold), ctx.tol * ctx.radius, hyperplane)
+    return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
@@ -160,11 +147,11 @@ def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
     return _set(ctx, 1.0, 1.0, hyperplane=True)
 
 
-def _past_residuals(x1: float, t: float, c: float, s: float, r: float):
+def _past_residuals(x1, t, c: float, s: float, r: float):
     """Residuals x_1' - R and -t' of (x_1, t) against the causal past of
     L(psi), (x_1', t') being the x_1 and t rows of boost(-psi), c = cosh(psi)
-    and s = sinh(psi), applied to (x_1, t); the margin is the worse of the
-    two. nesting_check computes them on arrays, in place."""
+    and s = sinh(psi), applied to (x_1, t), floats or arrays; the margin is
+    the worse of the two."""
     return c * x1 - s * t - r, -(c * t - s * x1)
 
 
@@ -236,21 +223,13 @@ def sample_causal_past_canonical(
 def _canonical_past_x1_t(
     ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (x_1, t) draws of sample_causal_past_canonical, in its order:
-    t = -uniform(0, 3R) and x_1 uniform in [R, sqrt(R^2 + t^2)], each as
-    Generator.uniform draws it, low + (high - low) * random. Computed in
-    place, since -(0 + 3R u) is -3R u and R + (h - R) u is (h - R) u + R bit
-    for bit."""
+    """The (x_1, t) draws of sample_causal_past_canonical, in its order.
+    x_1 is uniform in [R, sqrt(R^2 + t^2)], drawn as Generator.uniform draws
+    it with array bounds: low + (high - low) * random."""
     _check_span(ctx, 3.0)
     r = ctx.radius
-    t = rng.random(count)
-    t *= -3.0 * r
-    x1 = np.square(t)
-    x1 += r**2
-    np.sqrt(x1, out=x1)
-    x1 -= r
-    x1 *= rng.random(count)
-    x1 += r
+    t = -rng.uniform(0.0, 3.0 * r, count)
+    x1 = r + (np.sqrt(r**2 + t**2) - r) * rng.random(count)
     return x1, t
 
 
@@ -296,17 +275,9 @@ def nesting_check(
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
     rng = np.random.default_rng(0) if rng is None else rng
     x1, t = _canonical_past_x1_t(ctx, samples, rng)
-    c, s = math.cosh(psi2 - psi1), math.sinh(psi2 - psi1)
-    # The minimum of the two _past_residuals, c x_1 - s t - R and
-    # -(c t - s x_1), computed in place in the same order of operations.
-    margins = c * x1
-    margins -= s * t
-    margins -= ctx.radius
-    t *= c
-    x1 *= s
-    t -= x1
-    np.negative(t, out=t)
-    np.minimum(margins, t, out=margins)
+    psi = psi2 - psi1
+    a, b = _past_residuals(x1, t, math.cosh(psi), math.sinh(psi), ctx.radius)
+    margins = np.minimum(a, b, out=a)
     violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
     return SamplingReport(
         samples=samples,
@@ -360,7 +331,9 @@ class ThroatIntersection:
         """Events on the intersection set {a . x = 0, t = 0, |x| = R}."""
         # Orthonormal basis of the spatial plane orthogonal to the normal.
         basis = _complement(self.plane_normal)
-        dirs = _unit_vectors(rng, count, basis.shape[0])
+        # The product takes a C-ordered operand, as the draws are, so its
+        # kernel and summation order do not depend on _unit_vectors' layout.
+        dirs = np.ascontiguousarray(_unit_vectors(rng, count, basis.shape[0]))
         return np.column_stack((self.context.radius * dirs @ basis, np.zeros(count)))
 
     def distance(self, point) -> float:

@@ -195,7 +195,9 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Unit rows from normal draws, shape (count, dim): the transpose of a
-    C-contiguous (dim, count) array, so each column is contiguous."""
+    C-contiguous (dim, count) array, so each column is contiguous. Callers
+    that only scale and stack the rows get the same bits in either layout;
+    a matrix product should take np.ascontiguousarray of them."""
     v = rng.standard_normal((count, dim)).T.copy()
     norms = _row_norms(v.T)
     # Resample degenerate draws; probability ~0 but keeps the result total.

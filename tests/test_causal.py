@@ -336,9 +336,9 @@ class TestNesting:
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
-    def test_report_matches_the_out_of_place_formulas(self, n, radius):
-        # nesting_check draws and combines its residuals in place; the
-        # report equals the expressions written out bit for bit.
+    def test_report_matches_the_written_out_formulas(self, n, radius):
+        # The report, the worst margin's bytes included, equals the draws
+        # and residuals written out with Generator.uniform, bit for bit.
         ctx = SpacetimeContext(radius=radius, n=n)
         for k, (psi1, psi2) in enumerate([(0.0, 0.5), (-3.0, 2.0), (1.0 - 1e-6, 1.0), (-60.0, 60.0)]):
             got = nesting_check(ctx, psi1, psi2, samples=2000, rng=np.random.default_rng([n, k, 3]))
