@@ -20,6 +20,7 @@ from .manifold import (
     SpacetimeContext,
     WorldLine,
     canonical_worldline,
+    _check_context,
     _check_span,
     _complement,
     _read_only_copy,
@@ -46,12 +47,6 @@ class Region(Enum):
 class CausalVerdict:
     region: Region
     margin: float
-
-
-def _check_context(ctx: SpacetimeContext, other: SpacetimeContext) -> None:
-    # The identity test spares the field comparison for one shared context.
-    if other is not ctx and other != ctx:
-        raise ValueError(f"arguments from different spacetimes: {ctx} and {other}")
 
 
 def _verdict(margin: float, band: float, open_only: bool = False) -> CausalVerdict:
@@ -105,9 +100,7 @@ def _set(
 ) -> HalfSpaceSet:
     """The set a . e > threshold (= when `hyperplane`) of the covector
     a = (x1, 0, ..., 0, t), with the band tol * R."""
-    a = np.zeros(ctx.n + 1)
-    a[0] = x1
-    a[-1] = t
+    a = (x1,) + (0.0,) * (ctx.n - 1) + (t,)
     return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
 
 
@@ -367,7 +360,7 @@ def throat_intersection(
     # tangent u = velocity(psi*) / R, so no frame needs to be built. x/R and
     # u_x are orthogonal at the crossing, so |a|^2 = 1 + |u_x|^2 >= 1.
     a = line.at(psi_star)[:-1] / r + line.velocity(psi_star)[:-1] / r
-    return ThroatIntersection(context=ctx, plane_normal=a / np.linalg.norm(a))
+    return ThroatIntersection(context=ctx, plane_normal=a / _norm(a))
 
 
 def union_witness(ctx: SpacetimeContext, q: Event) -> float:

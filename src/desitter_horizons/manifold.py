@@ -56,6 +56,12 @@ class SpacetimeContext:
             raise ValueError(f"tol must be in [0, 1), got {self.tol}")
 
 
+def _check_context(ctx: SpacetimeContext, other: SpacetimeContext) -> None:
+    # The identity test spares the field comparison for one shared context.
+    if other is not ctx and other != ctx:
+        raise ValueError(f"arguments from different spacetimes: {ctx} and {other}")
+
+
 def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
     v = _as_vector(v)
     if v.size != ctx.n + 1:
@@ -94,8 +100,7 @@ class Event:
     context: SpacetimeContext
 
     def __post_init__(self):
-        point = _as_point(self.point, self.context).copy()
-        point.setflags(write=False)
+        point = _read_only_copy(_as_point(self.point, self.context))
         object.__setattr__(self, "point", point)
         if not _member(point, self.context):
             raise ValueError(
@@ -180,6 +185,7 @@ class SliceSphere:
 
     def contains(self, e: Event) -> bool:
         """|t(e) - t| <= max(tol, gamma) |e|_E, where |e|_E >= R and |t(e)|."""
+        _check_context(self.context, e.context)
         return _negligible(e.t - self.t, _norm(e.point), self.context.tol, 2)
 
 

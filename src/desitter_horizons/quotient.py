@@ -30,7 +30,7 @@ def antipode(e: Event) -> Event:
 
 @dataclass(frozen=True)
 class QuotientPoint:
-    """A glued pair {e, -e}, held by its sign-normalized representative:
+    """A glued pair {e, -e}, held by e or antipode(e), whichever is sign-normalized:
     QuotientPoint(representative=e) equals QuotientPoint(representative=-e)."""
 
     representative: Event
@@ -47,8 +47,8 @@ class QuotientPoint:
                 break
         else:
             c = next(c for c in values if c)
-        rep = -e.point if c < 0.0 else e.point.copy()
-        object.__setattr__(self, "representative", Event._exact(rep, e.context))
+        if c < 0.0:
+            object.__setattr__(self, "representative", antipode(e))
 
 
 def quotient_rep(e: Event) -> QuotientPoint:

@@ -466,6 +466,17 @@ class TestThroatIntersection:
         gap = np.abs(ti.center.point - exact).max()
         assert gap <= 4 * np.finfo(float).eps * math.cosh(psi) ** 2
 
+    @pytest.mark.xfail(strict=True, raises=ValueError)
+    def test_throat_of_a_line_based_at_rapidity_20(self):
+        # The line crosses the throat at psi* = -20, but the solve takes
+        # atanh(-p_t / (R u_t)) and tanh(20) rounds to 1: a math domain error.
+        # The closed form k+_x = (base / R + tangent)_x reads (1, 0) exactly.
+        canon = canonical_worldline(CTX)
+        line = WorldLine(
+            base=Event(point=canon.at(20.0), context=CTX), tangent=canon.velocity(20.0)
+        )
+        assert throat_intersection(CTX, line).plane_normal.tolist() == [1.0, 0.0]
+
     @staticmethod
     def _check_moving_observer(ctx, iso, psi0=0.0):
         # Samples lie on the horizon <e, k+> = 0 of the line iso(L(psi)), with

@@ -174,6 +174,16 @@ class TestSliceSphere:
         assert not throat.contains(event(ctx, radius, 0.0, 5e-9 * radius))
         assert throat.contains(event(ctx, radius, 0.0, 5e-10 * radius))
 
+    def test_contains_refuses_another_radius(self):
+        e = event(SpacetimeContext(radius=2.0), 2, 0, 0)
+        with pytest.raises(ValueError, match="different spacetimes"):
+            SliceSphere(SpacetimeContext(), 0.0).contains(e)
+
+    def test_contains_refuses_another_dimension(self):
+        e = event(SpacetimeContext(n=3), 1, 0, 0, 0)
+        with pytest.raises(ValueError, match="different spacetimes"):
+            SliceSphere(SpacetimeContext(), 0.0).contains(e)
+
 
 class _StubGenerator:
     """Hands out fixed standard-normal draws, in order."""

@@ -93,11 +93,24 @@ class TestQuotientPoint:
         np.testing.assert_array_equal(q.representative.point, [1, 0, 0])
 
     def test_constructor_keeps_the_argument(self):
+        # A kept sign holds e itself, a flipped one antipode(e); both points
+        # are read-only, so sharing e's cannot let a write reach the pair.
         for e in (event(CTX, -1, 0, 0), event(CTX, 1, 0, 0)):
             rep = QuotientPoint(representative=e).representative
-            assert not np.shares_memory(rep.point, e.point)
+            assert (rep == antipode(e)) if e.point[0] < 0 else (rep is e)
             with pytest.raises(ValueError):
                 rep.point[:] = 7.0
+
+    def test_kept_sign_holds_the_event_itself(self):
+        e = event(CTX, 0.6, 1.0, -0.6)
+        assert quotient_rep(e).representative is e
+
+    def test_flipped_sign_holds_the_antipode(self):
+        e = event(CTX, -0.6, 1.0, 0.6)
+        rep = quotient_rep(e).representative
+        assert rep == antipode(e) and rep.point.tolist() == [0.6, -1.0, -0.6]
+        with pytest.raises(ValueError):
+            rep.point[0] = 7.0
 
     def test_pairs_below_the_guard_are_glued(self):
         # At tol = 0.9 no coordinate of e passes the guard tol * R.
@@ -233,9 +246,12 @@ class TestExactNegation:
             assert inner(-v, -v) == inner(v, v)
 
     def test_results_do_not_alias_the_event(self):
+        # Only antipode makes a fresh array; quotient_rep holds e or it.
         for e in _sampled_events():
-            for result in (antipode(e), quotient_rep(e).representative):
-                assert not np.shares_memory(result.point, e.point)
+            anti, rep = antipode(e), quotient_rep(e).representative
+            assert not np.shares_memory(anti.point, e.point)
+            assert rep is e or rep == anti
+            for result in (anti, rep):
                 with pytest.raises(ValueError):
                     result.point[:] = 7.0
 
