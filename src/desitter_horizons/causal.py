@@ -10,7 +10,7 @@ forced to one side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -20,11 +20,12 @@ from .manifold import (
     SpacetimeContext,
     WorldLine,
     canonical_worldline,
+    _as_point,
     _check_context,
     _check_span,
     _complement,
     _read_only_copy,
-    _unit_vectors,
+    _sphere_points,
 )
 from .minkowski import _form, _norm
 
@@ -60,7 +61,8 @@ def _verdict(margin: float, band: float, open_only: bool = False) -> CausalVerdi
 @dataclass(frozen=True, eq=False)
 class HalfSpaceSet:
     """{e on S(R) : a . coords(e) > c}, or the hyperplane {a . coords(e) = c}
-    when `hyperplane` is set, with a tolerance band.
+    when `hyperplane` is set, in the spacetime `context`, with the tolerance
+    band tol * R.
 
     The margin a . coords(e) - c is positive inside; members of a hyperplane
     are always Boundary. The set keeps a read-only copy of the covector.
@@ -68,15 +70,20 @@ class HalfSpaceSet:
 
     covector: np.ndarray
     threshold: float
-    band: float
+    context: SpacetimeContext
     hyperplane: bool = False
+    band: float = field(init=False)
 
     def __post_init__(self):
-        a = _read_only_copy(self.covector)
+        ctx = self.context
+        if not isinstance(ctx, SpacetimeContext):
+            raise ValueError(f"context must be a SpacetimeContext, got {ctx!r}")
+        a = _read_only_copy(_as_point(self.covector, ctx))
         if not np.any(a):
             raise ValueError("covector must be nonzero")
         object.__setattr__(self, "covector", a)
         object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "band", ctx.tol * ctx.radius)
 
     def margins(self, points: np.ndarray) -> np.ndarray:
         """Vectorized margins for points of shape (..., n+1)."""
@@ -99,9 +106,8 @@ def _set(
     hyperplane: bool = False,
 ) -> HalfSpaceSet:
     """The set a . e > threshold (= when `hyperplane`) of the covector
-    a = (x1, 0, ..., 0, t), with the band tol * R."""
-    a = (x1,) + (0.0,) * (ctx.n - 1) + (t,)
-    return HalfSpaceSet(a, threshold, ctx.tol * ctx.radius, hyperplane)
+    a = (x1, 0, ..., 0, t) in ctx."""
+    return HalfSpaceSet((x1,) + (0.0,) * (ctx.n - 1) + (t,), threshold, ctx, hyperplane)
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
@@ -209,8 +215,7 @@ def sample_causal_past_canonical(
     r = ctx.radius
     x1, t = _canonical_past_x1_t(ctx, count, rng)
     rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
-    dirs = _unit_vectors(rng, count, ctx.n - 1)
-    return np.column_stack((x1, dirs * rest_r[:, None], t))
+    return _sphere_points(rng, count, ctx.n - 1, rest_r, x1, t)
 
 
 def _canonical_past_x1_t(
@@ -241,8 +246,7 @@ def sample_horizon(
     _check_span(ctx, t_span)
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
-    dirs = _unit_vectors(rng, count, ctx.n - 1)
-    return np.column_stack((-t if future else t, r * dirs, t))
+    return _sphere_points(rng, count, ctx.n - 1, r, -t if future else t, t)
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,7 @@ def nesting_check(
     return SamplingReport(
         samples=samples,
         violations=violations,
-        worst_margin=float(margins.min()),
+        worst_margin=float(margins.min(initial=np.inf)),
     )
 
 
@@ -324,10 +328,10 @@ class ThroatIntersection:
         """Events on the intersection set {a . x = 0, t = 0, |x| = R}."""
         # Orthonormal basis of the spatial plane orthogonal to the normal.
         basis = _complement(self.plane_normal)
-        # The product takes a C-ordered operand, as the draws are, so its
-        # kernel and summation order do not depend on _unit_vectors' layout.
-        dirs = np.ascontiguousarray(_unit_vectors(rng, count, basis.shape[0]))
-        return np.column_stack((self.context.radius * dirs @ basis, np.zeros(count)))
+        pts = np.zeros((count, basis.shape[1] + 1))
+        dirs = _sphere_points(rng, count, basis.shape[0], self.context.radius)
+        np.matmul(dirs, basis, out=pts[:, :-1])
+        return pts
 
     def distance(self, point) -> float:
         """Great-circle distance on the throat sphere from the pole: R times

@@ -180,8 +180,7 @@ class SliceSphere:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform events on the slice, shape (count, n+1)."""
-        dirs = _unit_vectors(rng, count, self.context.n)
-        return np.column_stack((self.spatial_radius * dirs, np.full(count, self.t)))
+        return _sphere_points(rng, count, self.context.n, self.spatial_radius, last=self.t)
 
     def contains(self, e: Event) -> bool:
         """|t(e) - t| <= max(tol, gamma) |e|_E, where |e|_E >= R and |t(e)|."""
@@ -189,32 +188,30 @@ class SliceSphere:
         return _negligible(e.t - self.t, _norm(e.point), self.context.tol, 2)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a 2-d array, the squares summed column
-    by column: left to right, as np.linalg.norm(v, axis=1) sums rows shorter
-    than 8, so the two agree bit for bit there."""
-    s = v[:, 0] * v[:, 0]
-    for k in range(1, v.shape[1]):
-        s += v[:, k] * v[:, k]
-    return np.sqrt(s)
-
-
-def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Unit rows from normal draws, shape (count, dim): the transpose of a
-    C-contiguous (dim, count) array, so each column is contiguous. Callers
-    that only scale and stack the rows get the same bits in either layout;
-    a matrix product should take np.ascontiguousarray of them."""
+def _sphere_points(
+    rng: np.random.Generator, count: int, dim: int, scale, first=None, last=None
+) -> np.ndarray:
+    """Uniform points on spheres of radius `scale` (a float, or one per row)
+    about the origin of R^dim, as a fresh C-ordered (count, dim) array between
+    the optional columns `first` and `last`. Each is a normal draw over its
+    norm (squares summed left to right, as np.linalg.norm(v, axis=1) does for
+    dim < 8), times its scale."""
     v = rng.standard_normal((count, dim)).T.copy()
-    norms = _row_norms(v.T)
+    norms = np.sqrt(sum(row * row for row in v))
     # Resample degenerate draws; probability ~0 but keeps the result total.
-    bad = norms < 1e-12
-    while bad.any():
+    while (bad := norms < 1e-12).any():
         v[:, bad] = rng.standard_normal((int(bad.sum()), dim)).T
-        norms = _row_norms(v.T)
-        bad = norms < 1e-12
-    # Each row of v is a column of the draws: v.T / norms[:, None] bit for bit.
+        norms = np.sqrt(sum(row * row for row in v))
     v /= norms
-    return v.T
+    lead = first is not None
+    pts = np.empty((count, lead + dim + (last is not None)))
+    if lead:
+        pts[:, 0] = first
+    if last is not None:
+        pts[:, -1] = last
+    for k, row in enumerate(v, lead):
+        np.multiply(row, scale, out=pts[:, k])
+    return pts
 
 
 def _check_span(ctx: SpacetimeContext, t_span: float) -> None:
@@ -236,15 +233,7 @@ def sample_hyperboloid(
     _check_span(ctx, t_span)
     r = ctx.radius
     t = rng.uniform(-t_span * r, t_span * r, count)
-    dirs = _unit_vectors(rng, count, ctx.n)
-    # The products of dirs * radii[:, None] written column by column into
-    # the result, past numpy's slower broadcasting path and a column_stack.
-    radii = np.sqrt(r**2 + t**2)
-    pts = np.empty((count, ctx.n + 1))
-    for k in range(ctx.n):
-        np.multiply(dirs[:, k], radii, out=pts[:, k])
-    pts[:, -1] = t
-    return pts
+    return _sphere_points(rng, count, ctx.n, np.sqrt(r**2 + t**2), last=t)
 
 
 def _check_direction(p: Event, u: np.ndarray, uu: float, name: str, kind: str) -> None:

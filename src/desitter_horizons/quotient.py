@@ -8,7 +8,6 @@ sampling checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .causal import (
     horizon_past,
     sample_horizon,
 )
-from .manifold import Event, SpacetimeContext, _complement, sample_hyperboloid
+from .manifold import Event, SpacetimeContext, _check_context, _complement, sample_hyperboloid
 
 
 def antipode(e: Event) -> Event:
@@ -68,28 +67,36 @@ def injectivity_check(
     outside. sample_hyperboloid is symmetric under e -> -e, so each draw e
     yields the pair {e, -e}, and each member inside is tested against the
     other's margin. Each draw is `samples` points, at most 200 draws. For a
-    threshold c < -band the equatorial pair, inside twice, is tested first.
+    threshold c < -band the equatorial pair, inside twice, is counted first.
     Hyperplanes (horizons) are rejected: they are centrally symmetric.
     """
+    _check_context(ctx, region.context)
     if region.hyperplane:
         raise ValueError("injectivity is only meaningful for open half-spaces")
     rng = np.random.default_rng(0) if rng is None else rng
-    band = region.band
+    band, c = region.band, region.threshold
     collected = violations = 0
     worst = -np.inf
-    draws = (sample_hyperboloid(ctx, samples, rng) for _ in range(200))
-    if region.threshold < -band:
-        # Sampling misses thin cases, so the pair that is inside twice goes
-        # first: a . e = 0 on the equatorial pair +-(R w, 0), with w a unit
-        # spatial vector orthogonal to a_x, so both margins are -c > band.
+    if c < -band:
+        # Sampling misses thin cases, so the pair that is inside twice is
+        # counted directly: a . e = +-s on the equatorial pair +-(R w, 0),
+        # with w a unit spatial vector orthogonal to a_x and s ~ 0, so both
+        # members are inside and each tests the other's margin -+s - c > band.
         a_x = region.covector[:-1]
         # Scaling a_x by its largest entry keeps its norm from underflowing.
         w = _complement(a_x / np.abs(a_x).max())[0] if a_x.any() else np.eye(ctx.n)[0]
-        draws = itertools.chain([np.append(ctx.radius * w, 0.0)[None, :]], draws)
-    for pts in draws:
+        s = float(np.append(ctx.radius * w, 0.0) @ region.covector)
+        # The tests of (R w, 0), then of its antipode; samples < 2 keeps a prefix.
+        tested = (-s - c, s - c)[:samples]
+        collected = violations = len(tested)
+        worst = max(tested, default=worst)
+    for _ in range(200):
+        if collected == samples:
+            break
+        pts = sample_hyperboloid(ctx, samples, rng)
         # margins(-pts) is -s - c bit for bit: negation is exact.
         s = pts @ region.covector
-        margins, anti_margins = s - region.threshold, -s - region.threshold
+        margins, anti_margins = s - c, -s - c
         # The antipodes' margins of the pair members that fall inside, taken
         # at nonzero() indices: a gather beats a boolean mask's branches.
         inside, anti_inside = (margins > band).nonzero(), (anti_margins > band).nonzero()
@@ -98,9 +105,7 @@ def injectivity_check(
         violations += int(np.count_nonzero(tested > -band))
         worst = max(worst, float(tested.max(initial=-np.inf)))
         collected += tested.size
-        if collected == samples:
-            break
-    else:
+    if collected < samples:
         raise RuntimeError("sampler failed to populate the region")
     return SamplingReport(samples=collected, violations=violations, worst_margin=worst)
 
@@ -124,7 +129,7 @@ def horizon_symmetry_check(
         pts = sample_horizon(ctx, samples, rng, future=same is future)
         residuals = np.abs(same.margins(-pts))
         violations += int(np.count_nonzero(residuals > band))
-        worst = max(worst, float(residuals.max()))
+        worst = max(worst, float(residuals.max(initial=0.0)))
         # Cross check: -e on the other horizon forces x_1 = t = 0.
         on_other = np.abs(other.margins(-pts)) <= band
         degenerate = (np.abs(pts[:, 0]) <= band) & (np.abs(pts[:, -1]) <= band)

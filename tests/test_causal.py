@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from desitter_horizons.manifold import (
     SpacetimeContext,
     WorldLine,
     _complement,
-    _unit_vectors,
+    _sphere_points,
     canonical_worldline,
     canonicalize,
     event,
@@ -46,6 +48,8 @@ from desitter_horizons.manifold import (
     sample_hyperboloid,
 )
 from desitter_horizons.minkowski import boost, central_symmetry, inner, spatial_rotation
+
+import _exact
 
 CTX = SpacetimeContext(radius=1.0, n=2)
 
@@ -109,7 +113,7 @@ class TestHalfSpaces:
     def test_covector_is_a_read_only_copy(self):
         # A later write into the caller's array must not reach the set.
         a = np.array([1.0, 0.0, -1.0])
-        s = HalfSpaceSet(a, 0.0, 1e-9)
+        s = HalfSpaceSet(a, 0.0, CTX)
         a[0] = 5.0
         assert s.verdict((1, 0, 0)) == CausalVerdict(Region.INSIDE, 1.0)
         assert not np.shares_memory(s.covector, a)
@@ -125,10 +129,24 @@ class TestHalfSpaces:
 
     def test_zero_covector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            HalfSpaceSet(np.zeros(3), 0.0, 1e-9)
+            HalfSpaceSet(np.zeros(3), 0.0, CTX)
+
+    def test_band_rejected_in_the_context_slot(self):
+        # The old signature (covector, threshold, band) fails at construction.
+        with pytest.raises(ValueError, match="SpacetimeContext"):
+            HalfSpaceSet(np.array([1.0, 0.0, -1.0]), 0.0, 1e-9)
+
+    def test_band_is_tol_times_radius(self):
+        ctx = SpacetimeContext(radius=2.5, n=3, tol=1e-6)
+        s = HalfSpaceSet((1.0, 0.0, 0.0, -1.0), 0.0, ctx)
+        assert s.context is ctx and s.band == 1e-6 * 2.5 == J_minus_L(ctx).band
+
+    def test_covector_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="expected 3 components"):
+            HalfSpaceSet((1.0, 0.0, 0.0, -1.0), 0.0, CTX)
 
     def test_relation_string_rejected_at_construction(self):
-        # The set is (covector, threshold, band, hyperplane); a relation
+        # The set is (covector, threshold, context, hyperplane); a relation
         # string in the threshold slot must not construct a set.
         with pytest.raises(ValueError):
             HalfSpaceSet(np.array([1.0, 0.0, -1.0]), ">", 0.0, 1e-9)
@@ -630,6 +648,48 @@ class TestZeroTolerance:
                         assert frame.region is chord.region
 
 
+class TestExactOracle:
+    """Verdicts against margins computed exactly on integer events (R = 1105,
+    |t| up to 400 R, tests/_exact.py) at the default tol, not against the
+    code's own float output: every exact zero is Boundary, and wherever the
+    exact margin lies outside the band the region has its sign."""
+
+    def test_verdicts_match_the_exact_margins(self):
+        rnd = random.Random(1105)
+        seen = Counter()
+        for n in (2, 3):
+            ctx = SpacetimeContext(radius=_exact.R, n=n)
+            seeds = [_exact.seed_event(n, rnd) for _ in range(48)]
+            points = [_exact.outward_isometry([e], rnd)(e) for e in seeds]
+            pairs = [(p, q) for p in points for q in rnd.sample(points, 6)]
+            # Pairs on one light cone, and apexes, each carried by one isometry.
+            for _ in range(24):
+                p, q = _exact.throat_cone_pair(n, rnd)
+                g = _exact.outward_isometry([p, q], rnd)
+                pairs += [(g(p), g(q)), (g(q), g(p))]
+            events = {pt: event(ctx, pt) for pair in pairs for pt in pair}
+            for p_pt, q_pt in pairs:
+                p, q = events[p_pt], events[q_pt]
+                for name, got, residuals, band in (
+                    ("frame past", causal_past_of_event(q, p),
+                     _exact.frame_residuals(q_pt, p_pt, 1), ctx.tol * ctx.radius),
+                    ("frame future", causal_future_of_event(q, p),
+                     _exact.frame_residuals(q_pt, p_pt, -1), ctx.tol * ctx.radius),
+                    ("chord past", chord_oracle_past(p, q),
+                     _exact.chord_residuals(p_pt, q_pt, -1), ctx.tol * ctx.radius**2),
+                    ("chord future", chord_oracle(p, q),
+                     _exact.chord_residuals(p_pt, q_pt, 1), ctx.tol * ctx.radius**2),
+                ):
+                    want = _exact.exact_region(residuals, band)
+                    if want is not None:
+                        assert got.region.value == want, (name, p_pt, q_pt, got)
+                    seen[name, want] += 1
+        # Both routes and both time directions meet every region.
+        for name in ("frame past", "frame future", "chord past", "chord future"):
+            for region in ("boundary", "inside", "outside"):
+                assert seen[name, region] > 0, (name, region)
+
+
 class TestUnionProperty:
     def test_witness_finite_for_members(self):
         rng = np.random.default_rng(31)
@@ -992,7 +1052,7 @@ def _reference_causal_past(ctx, count, rng):
 
 
 class TestSamplerKernels:
-    """The samplers, and every other caller of _unit_vectors, equal a
+    """The samplers, and every other caller of _sphere_points, equal a
     reference written with np.linalg.norm, broadcasting, np.column_stack and
     Generator.uniform bit for bit, at every n from 2 to 7: the digests pin
     only some n."""
@@ -1012,10 +1072,8 @@ class TestSamplerKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
     def test_other_callers_match_the_reference(self, n, radius):
-        # _unit_vectors returns the transpose of a C-contiguous array, so
-        # each caller is checked on what it computes from that layout,
-        # ThroatIntersection.sample's matrix product included, for the
-        # canonical observer and a moving one.
+        # Each caller is checked on its own output, ThroatIntersection.sample's
+        # matrix product included, for the canonical observer and a moving one.
         ctx = SpacetimeContext(radius=radius, n=n)
         sphere = SliceSphere(ctx, 0.7 * radius)
         iso = spatial_rotation((1, 2), 0.3, n).compose(boost(0.8, n))
@@ -1036,7 +1094,10 @@ class TestSamplerKernels:
             return np.column_stack((radius * dirs @ basis, np.zeros(count)))
 
         cases = [
-            (lambda c, g: _unit_vectors(g, c, n), lambda c, g: _reference_unit_vectors(g, c, n)),
+            (
+                lambda c, g: _sphere_points(g, c, n, 1.0),
+                lambda c, g: _reference_unit_vectors(g, c, n),
+            ),
             (
                 sphere.sample,
                 lambda c, g: np.column_stack(

@@ -9,7 +9,7 @@ from desitter_horizons.manifold import (
     SliceSphere,
     SpacetimeContext,
     WorldLine,
-    _unit_vectors,
+    _sphere_points,
     canonical_worldline,
     canonicalize,
     event,
@@ -200,7 +200,7 @@ class _StubGenerator:
 class TestUnitVectors:
     def test_degenerate_draws_are_resampled(self):
         rng = _StubGenerator([[0, 0], [3, 4], [1e-13, 0]], [[2, 0], [0, -5]])
-        dirs = _unit_vectors(rng, 3, 2)
+        dirs = _sphere_points(rng, 3, 2, 1.0)
         np.testing.assert_array_equal(dirs, [[1, 0], [0.6, 0.8], [0, -1]])
         assert rng.draws == []
 

@@ -9,6 +9,7 @@ from desitter_horizons.causal import (
     J_minus_negL,
     J_plus_L,
     J_plus_negL,
+    nesting_check,
     sample_horizon,
 )
 from desitter_horizons.manifold import (
@@ -159,7 +160,7 @@ class TestInjectivityCheck:
         ctx = SpacetimeContext(radius=radius, n=n)
         a = np.zeros(n + 1)
         a[0], a[-1] = 1.0, -1.0
-        region = HalfSpaceSet(a, -0.5 * radius, ctx.tol * radius)
+        region = HalfSpaceSet(a, -0.5 * radius, ctx)
         report = injectivity_check(region, ctx, samples=5000, rng=np.random.default_rng(3))
         assert report.samples == 5000
         assert report.violations > 0
@@ -170,7 +171,7 @@ class TestInjectivityCheck:
         # |a . e| < 1e-6, which 10_000 draws almost never hit; the pair
         # +-(R w, 0) with w orthogonal to a_x is inside twice.
         for a in np.random.default_rng(12).standard_normal((20, 3)):
-            region = HalfSpaceSet(a, -1e-6, CTX.tol)
+            region = HalfSpaceSet(a, -1e-6, CTX)
             report = injectivity_check(region, CTX, samples=10_000, rng=np.random.default_rng(5))
             assert report.samples == 10_000
             assert report.violations > 0
@@ -179,7 +180,7 @@ class TestInjectivityCheck:
     def test_equatorial_pair_without_spatial_covector(self):
         # t > -1e-6 at n = 3: a_x = 0, so any unit spatial w gives the pair.
         ctx = SpacetimeContext(radius=2.0, n=3)
-        region = HalfSpaceSet((0.0, 0.0, 0.0, 1.0), -1e-6, ctx.tol * 2.0)
+        region = HalfSpaceSet((0.0, 0.0, 0.0, 1.0), -1e-6, ctx)
         report = injectivity_check(region, ctx, samples=10_000, rng=np.random.default_rng(5))
         assert report.violations > 0 and report.worst_margin == 1e-6
 
@@ -193,16 +194,41 @@ class TestInjectivityCheck:
             return sample_hyperboloid(ctx, count, rng)
 
         monkeypatch.setattr(quotient, "sample_hyperboloid", counted)
-        region = HalfSpaceSet((1.0, 0.0, -1.0), 4.0, CTX.tol)
+        region = HalfSpaceSet((1.0, 0.0, -1.0), 4.0, CTX)
         report = injectivity_check(region, CTX, samples=2000, rng=np.random.default_rng(4))
         assert report.samples == 2000
         assert report.violations == 0
         assert report.worst_margin < 0.0
         assert len(draws) > 1 and set(draws) == {2000}
 
+    def test_region_from_another_dimension_rejected(self):
+        region = J_minus_L(SpacetimeContext(n=3))
+        with pytest.raises(ValueError, match="different spacetimes"):
+            injectivity_check(region, CTX, samples=100)
+
+    def test_region_from_another_radius_rejected(self):
+        # Its band of 500 would exceed every margin of the R = 1 draws.
+        region = J_minus_L(SpacetimeContext(radius=1e3, tol=0.5))
+        with pytest.raises(ValueError, match="different spacetimes"):
+            injectivity_check(region, CTX, samples=100)
+
+    @pytest.mark.parametrize("samples", [0, 1, 2])
+    def test_equatorial_pair_is_counted_without_a_draw(self, samples, monkeypatch):
+        # t > -1e-6 at n = 3: the pair's margins are both exactly 1e-6, and
+        # the report holds its first `samples` tests.
+        def refused(*args):
+            raise AssertionError("no draw is needed")
+
+        monkeypatch.setattr(quotient, "sample_hyperboloid", refused)
+        ctx = SpacetimeContext(radius=2.0, n=3)
+        region = HalfSpaceSet((0.0, 0.0, 0.0, 1.0), -1e-6, ctx)
+        report = injectivity_check(region, ctx, samples=samples)
+        worst = 1e-6 if samples else -np.inf
+        assert report == SamplingReport(samples, samples, worst)
+
     def test_empty_region_raises(self):
         # The sampler keeps |t| <= 3R, so neither e nor -e has t > 10R.
-        region = HalfSpaceSet((0.0, 0.0, 1.0), 10.0, CTX.tol)
+        region = HalfSpaceSet((0.0, 0.0, 1.0), 10.0, CTX)
         with pytest.raises(RuntimeError, match="failed to populate"):
             injectivity_check(region, CTX, samples=100)
 
@@ -222,6 +248,20 @@ class TestHorizonSymmetry:
         ctx = SpacetimeContext(radius=2.0, n=3)
         report = horizon_symmetry_check(ctx, samples=2000, rng=np.random.default_rng(3))
         assert report.violations == 0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: nesting_check(CTX, 0.0, 1.0, samples=0),
+        lambda: horizon_symmetry_check(CTX, samples=0),
+        lambda: injectivity_check(J_minus_L(CTX), CTX, samples=0),
+    ],
+    ids=["nesting", "horizon_symmetry", "injectivity"],
+)
+def test_sampling_checks_report_an_empty_sample(check):
+    report = check()
+    assert (report.samples, report.violations) == (0, 0)
 
 
 def _sampled_events():
