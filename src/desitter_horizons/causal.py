@@ -66,6 +66,9 @@ class HalfSpaceSet:
 
     The margin a . coords(e) - c is positive inside; members of a hyperplane
     are always Boundary. The set keeps a read-only copy of the covector.
+    It answers for the coordinates it is given: a point of the wrong width
+    raises ValueError, but (500, 0, 0) off S(1) is Inside J_minus_L; Event
+    certifies membership.
     """
 
     covector: np.ndarray
@@ -87,11 +90,13 @@ class HalfSpaceSet:
 
     def margins(self, points: np.ndarray) -> np.ndarray:
         """Vectorized margins for points of shape (..., n+1)."""
-        return np.asarray(points, dtype=float) @ self.covector - self.threshold
+        pts = np.asarray(points, dtype=float)
+        if pts.shape[-1:] != self.covector.shape:
+            raise ValueError(f"expected {self.covector.size} components, got shape {pts.shape}")
+        return pts @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
-        # float(margins(point)), the subtraction on floats.
-        m = float(np.asarray(point, dtype=float) @ self.covector) - self.threshold
+        m = float(self.margins(_as_point(point, self.context)))
         return _verdict(m, self.band, open_only=self.hyperplane)
 
     def contains(self, point) -> bool:
@@ -110,10 +115,21 @@ def _set(
     return HalfSpaceSet((x1,) + (0.0,) * (ctx.n - 1) + (t,), threshold, ctx, hyperplane)
 
 
+def _cosh(psi: float) -> float:
+    """cosh(psi); ValueError unless it is finite, and so psi too."""
+    try:
+        if (c := math.cosh(psi)) < math.inf:
+            return c
+    except OverflowError:
+        pass
+    raise ValueError(f"rapidity must be finite with a finite cosh, got {psi}")
+
+
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
     """Light cone at the observer event of rapidity psi:
-    x_1 - t tanh(psi) = R / cosh(psi); the boost image of the throat cone."""
-    return _set(ctx, 1.0, -math.tanh(psi), ctx.radius / math.cosh(psi), hyperplane=True)
+    x_1 - t tanh(psi) = R / cosh(psi); the boost image of the throat cone.
+    Raises ValueError unless cosh(psi) is finite."""
+    return _set(ctx, 1.0, -math.tanh(psi), ctx.radius / _cosh(psi), hyperplane=True)
 
 
 def J_minus_L(ctx: SpacetimeContext) -> HalfSpaceSet:
@@ -267,13 +283,15 @@ def nesting_check(
     whenever psi1 < psi2. Returns the violation count over random samples.
     The margins read only x_1 and t, and boosts move only those, so only the
     (x_1, t) draws are made; boost(psi1) then boost(-psi2) is boost(psi1 -
-    psi2), applied as its cosh/sinh rows."""
+    psi2), applied as its cosh/sinh rows. Raises ValueError unless the gap
+    psi2 - psi1 has a finite cosh."""
     if not psi1 < psi2:
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
+    psi = psi2 - psi1
+    c = _cosh(psi)
     rng = np.random.default_rng(0) if rng is None else rng
     x1, t = _canonical_past_x1_t(ctx, samples, rng)
-    psi = psi2 - psi1
-    a, b = _past_residuals(x1, t, math.cosh(psi), math.sinh(psi), ctx.radius)
+    a, b = _past_residuals(x1, t, c, math.sinh(psi), ctx.radius)
     margins = np.minimum(a, b, out=a)
     violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
     return SamplingReport(

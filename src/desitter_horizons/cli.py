@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
-from .figures import build_scene, emit_csv, emit_svg
+from .figures import FIGURES, build_scene, emit_csv, emit_svg
 from .manifold import SpacetimeContext
 
 
-def _parse_floats(text: str, count: int | None = None) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if count is not None and len(values) != count:
-        raise ValueError(f"expected {count} comma-separated numbers, got {text!r}")
-    return values
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,34 +22,27 @@ def _build_parser() -> argparse.ArgumentParser:
             "Render the de Sitter hyperboloid with the eternal observer's "
             "world line and past event horizon as SVG and/or CSV."
         ),
+        # Unset options are absent: SpacetimeContext and build_scene own the defaults.
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "figure",
-        choices=["fig2", "fig3", "cones"],
-        help="fig2: finite time window; fig3: compactified infinite time; "
-        "cones: fig2 plus light-cone curves",
+        choices=FIGURES,
+        help="; ".join(f"{name}: {text}" for name, text in FIGURES.items()),
     )
-    parser.add_argument("--radius", type=float, default=1.0, help="hyperboloid radius R")
-    parser.add_argument("--t-max", type=float, default=2.0, help="upper time bound (fig2/cones)")
-    parser.add_argument("--resolution", type=int, default=64, help="samples per curve (>= 8)")
-    parser.add_argument(
-        "--format", choices=["svg", "csv", "both"], default="both", dest="fmt"
-    )
+    parser.add_argument("--radius", type=float, help="hyperboloid radius R")
+    parser.add_argument("--t-max", type=float, help="upper time bound (fig2/cones)")
+    parser.add_argument("--resolution", type=int, help="samples per curve (>= 8)")
+    parser.add_argument("--format", choices=["svg", "csv", "both"], default="both", dest="fmt")
     parser.add_argument(
         "--out",
-        default=None,
         help="output path; with --format both this is a prefix for .svg and .csv",
     )
     parser.add_argument(
         "--psi-list",
-        default=None,
         help="comma-separated rapidities for the cone curves (cones figure)",
     )
-    parser.add_argument(
-        "--proj",
-        default="0.35,0.20",
-        help="cabinet projection coefficients ux1,vx1",
-    )
+    parser.add_argument("--proj", help="cabinet projection coefficients ux1,vx1")
     parser.add_argument(
         "--annotate-throat",
         action="store_true",
@@ -61,34 +52,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    figure, fmt = options.pop("figure"), options.pop("fmt")
+    out = options.pop("out", None) or f"horizons_{figure}"
+    annotate = options.pop("annotate_throat", False)
+    emitters = {"svg": partial(emit_svg, annotate_throat=annotate), "csv": emit_csv}
+    context = {"radius": options.pop("radius")} if "radius" in options else {}
     try:
-        ctx = SpacetimeContext(radius=args.radius, n=2)
-        proj = _parse_floats(args.proj, 2)
-        psi_list = None if args.psi_list is None else _parse_floats(args.psi_list)
-        scene = build_scene(
-            ctx,
-            args.figure,
-            t_max=args.t_max,
-            resolution=args.resolution,
-            psi_list=psi_list,
-            projection=(proj[0], proj[1]),
-        )
-        out = args.out or f"horizons_{args.figure}"
-        if args.fmt == "both":
-            svg_path = Path(str(out) + ".svg")
-            csv_path = Path(str(out) + ".csv")
-        else:
-            path = Path(out)
-            if path.suffix == "":
-                path = path.with_suffix("." + args.fmt)
-            svg_path = csv_path = path
-        if args.fmt in ("svg", "both"):
-            emit_svg(scene, svg_path, annotate_throat=args.annotate_throat)
-            print(f"wrote {svg_path}")
-        if args.fmt in ("csv", "both"):
-            emit_csv(scene, csv_path)
-            print(f"wrote {csv_path}")
+        ctx = SpacetimeContext(n=2, **context)
+        if "proj" in options:
+            options["projection"] = _parse_floats(options.pop("proj"))
+        if "psi_list" in options:
+            options["psi_list"] = _parse_floats(options["psi_list"])
+        scene = build_scene(ctx, figure, **options)
+        for ext in emitters if fmt == "both" else [fmt]:
+            # With both formats --out is a prefix; otherwise it is the path,
+            # which gets the format's extension when it has none.
+            path = Path(f"{out}.{ext}" if fmt == "both" else out)
+            if fmt == ext and path.suffix == "":
+                path = path.with_suffix("." + ext)
+            emitters[ext](scene, path)
+            print(f"wrote {path}")
     except (ValueError, OSError) as exc:
         print(f"horizons: error: {exc}", file=sys.stderr)
         return 2

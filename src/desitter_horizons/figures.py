@@ -34,6 +34,13 @@ MARKER_LABEL = "throat-intersection"
 _MERIDIANS = 12
 _PARALLELS = 6
 DEFAULT_PSI_LIST = (-1.0, 0.0, 1.0)
+DEFAULT_PROJECTION = (0.35, 0.20)  # cabinet coefficients ux1, vx1
+# The figures build_scene draws, each with the description the CLI shows.
+FIGURES = {
+    "fig2": "finite time window",
+    "fig3": "compactified infinite time",
+    "cones": "fig2 plus light-cone curves",
+}
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class Polyline:
 class FigureScene:
     polylines: tuple[Polyline, ...]
     markers: np.ndarray  # shape (m, 3) marked events
-    projection: tuple[float, float] = (0.35, 0.20)  # cabinet coefficients ux1, vx1
+    projection: tuple[float, float] = DEFAULT_PROJECTION
     compactified: bool = False
 
     def __post_init__(self):
@@ -102,7 +109,7 @@ def build_scene(
     t_max: float = 2.0,
     resolution: int = 64,
     psi_list=None,
-    projection: tuple[float, float] = (0.35, 0.20),
+    projection: tuple[float, float] = DEFAULT_PROJECTION,
 ) -> FigureScene:
     """Assemble the polylines of one figure.
 
@@ -117,7 +124,7 @@ def build_scene(
             "figures are defined for n = 2 only; for other dimensions export "
             "vertex data through the CSV interfaces directly"
         )
-    if figure not in ("fig2", "fig3", "cones"):
+    if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
@@ -157,33 +164,27 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
     polylines: list[Polyline] = []
 
     for phi in np.linspace(0.0, 2.0 * math.pi, _MERIDIANS, endpoint=False):
-        pts = np.column_stack(
-            [radii * math.cos(phi), radii * math.sin(phi), t_grid]
-        )
+        pts = np.column_stack([radii * math.cos(phi), radii * math.sin(phi), t_grid])
         polylines.append(Polyline("hyperboloid-meridian", pts))
 
-    theta = np.linspace(0.0, 2.0 * math.pi, resolution + 1)
-    level_idx = np.linspace(0, resolution - 1, _PARALLELS).round().astype(int)
-    for i in level_idx:
-        rr, tt = radii[i], t_grid[i]
-        pts = np.column_stack(
-            [rr * np.cos(theta[:-1]), rr * np.sin(theta[:-1]), np.full(resolution, tt)]
-        )
+    theta = np.linspace(0.0, 2.0 * math.pi, resolution + 1)[:-1]
+    cos, sin = np.cos(theta), np.sin(theta)
+
+    def ring(radius, t):
+        return np.column_stack([radius * cos, radius * sin, np.full(resolution, t)])
+
+    for i in np.linspace(0, resolution - 1, _PARALLELS).round().astype(int):
+        pts = ring(radii[i], t_grid[i])
         polylines.append(Polyline("hyperboloid-parallel", pts, closed=True))
 
-    line = canonical_worldline(ctx)
-    psis = np.arcsinh(t_grid / r)
-    wl = line.sample(psis)
+    wl = canonical_worldline(ctx).sample(np.arcsinh(t_grid / r))
     polylines.append(Polyline("worldline", wl))
 
     for sign in (1.0, -1.0):
         pts = np.column_stack([t_grid, np.full_like(t_grid, sign * r), t_grid])
         polylines.append(Polyline("horizon-past", pts))
 
-    circle = np.column_stack(
-        [r * np.cos(theta[:-1]), r * np.sin(theta[:-1]), np.zeros(resolution)]
-    )
-    polylines.append(Polyline("throat-circle", circle, closed=True))
+    polylines.append(Polyline("throat-circle", ring(r, 0.0), closed=True))
 
     if figure == "cones":
         s = np.linspace(-t_max, t_max, 2 * resolution - 1)
@@ -198,18 +199,10 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
     # canonical observer these are (0, +-R, 0).
     throat = throat_intersection(ctx)
     direction = _null_space_direction(throat.plane_normal)
-    markers = np.vstack(
-        [
-            np.append(r * direction, 0.0),
-            np.append(-r * direction, 0.0),
-        ]
-    )
+    markers = np.vstack([np.append(r * direction, 0.0), np.append(-r * direction, 0.0)])
 
     if compactified:
-        polylines = [
-            Polyline(pl.label, compactify(pl.points, r), pl.closed)
-            for pl in polylines
-        ]
+        polylines = [Polyline(pl.label, compactify(pl.points, r), pl.closed) for pl in polylines]
         markers = compactify(markers, r)
 
     return FigureScene(tuple(polylines), markers, projection, compactified)

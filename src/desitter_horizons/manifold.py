@@ -63,9 +63,9 @@ def _check_context(ctx: SpacetimeContext, other: SpacetimeContext) -> None:
 
 
 def _as_point(v, ctx: SpacetimeContext) -> np.ndarray:
-    v = _as_vector(v)
-    if v.size != ctx.n + 1:
-        raise ValueError(f"expected {ctx.n + 1} components, got {v.size}")
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size != ctx.n + 1:
+        raise ValueError(f"expected {ctx.n + 1} components, got shape {v.shape}")
     return v
 
 

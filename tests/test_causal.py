@@ -74,6 +74,13 @@ class TestCones:
         np.testing.assert_allclose(cone.covector, [1, 0, -1], atol=1e-12)
         assert cone.threshold == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("psi", [800.0, -800.0, math.inf, -math.inf, math.nan])
+    def test_rapidity_without_a_finite_cosh_rejected(self, psi):
+        # cosh overflows past |psi| ~ 710.48; below that the threshold keeps its bits.
+        with pytest.raises(ValueError, match="finite cosh"):
+            cone_at_L_psi(CTX, psi)
+        assert cone_at_L_psi(CTX, 710.0).threshold == 1.0 / math.cosh(710.0)
+
 
 class TestHalfSpaces:
     @pytest.mark.parametrize(
@@ -130,6 +137,32 @@ class TestHalfSpaces:
     def test_zero_covector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             HalfSpaceSet(np.zeros(3), 0.0, CTX)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(1, 0, 0, 0), (1, 0), [[1, 0, 0]], [[1, 0, 0], [1, 0, 0]], 5.0],
+        ids=["four", "two", "row", "two-rows", "scalar"],
+    )
+    def test_point_of_another_width_rejected(self, point):
+        # The width is checked against the set's own context, n + 1 = 3.
+        s = J_minus_L(CTX)
+        for call in (s.verdict, s.contains):
+            with pytest.raises(ValueError, match="expected 3 components"):
+                call(point)
+
+    def test_margins_check_the_last_axis(self):
+        s = J_minus_L(CTX)
+        for points in (np.zeros((5, 4)), np.zeros((3, 2)), 5.0):
+            with pytest.raises(ValueError, match="expected 3 components"):
+                s.margins(points)
+        assert s.margins(np.zeros((2, 5, 3))).shape == (2, 5)
+
+    def test_answers_for_the_coordinates_it_is_given(self):
+        # Not a membership test: a point far off S(1) still gets its margin.
+        # Certifying that a point is an event is Event's job.
+        assert J_minus_L(CTX).verdict((500, 0, 0)) == CausalVerdict(Region.INSIDE, 500.0)
+        with pytest.raises(ValueError, match="not on the hyperboloid"):
+            Event(point=(500.0, 0.0, 0.0), context=CTX)
 
     def test_band_rejected_in_the_context_slot(self):
         # The old signature (covector, threshold, band) fails at construction.
@@ -351,6 +384,18 @@ class TestNesting:
     def test_requires_ordered_rapidities(self):
         with pytest.raises(ValueError):
             nesting_check(CTX, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "psi1, psi2",
+        [(0.0, 800.0), (-400.0, 400.0), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)],
+    )
+    def test_gap_without_a_finite_cosh_rejected(self, psi1, psi2):
+        # The gap is checked before anything is drawn.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite cosh"):
+            nesting_check(CTX, psi1, psi2, samples=10, rng=rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])

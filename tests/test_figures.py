@@ -287,13 +287,17 @@ class TestCli:
             ["fig3", "--radius", "1e300"],
             ["cones", "--psi-list=,"],
             ["fig2", "--proj", "1,2,3"],
+            ["cones", "--psi-list=abc"],
+            ["fig2", "--proj", "a,b"],
         ],
         ids=[
             "psi-nan", "t-max-inf", "proj-nan", "radius-overflow", "psi-list-empty",
-            "proj-three-numbers",
+            "proj-three-numbers", "psi-not-a-number", "proj-not-a-number",
         ],
     )
     def test_invalid_figure_inputs_exit_2(self, tmp_path, capsys, argv):
+        # A return code, not SystemExit: the parsing of the number lists
+        # happens inside main's error handling.
         assert cli_main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "horizons: error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -382,6 +386,17 @@ class TestByteIdentityGate:
         assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0
         for fname in files:
             assert _sha256(tmp_path / fname) == GATE_DIGESTS[fname], fname
+
+    def test_cli_defaults(self, tmp_path, monkeypatch):
+        # No options at all: the defaults are build_scene's and
+        # SpacetimeContext's, and --out defaults to horizons_<figure>.
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["fig2"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "horizons_fig2.csv", "horizons_fig2.svg"
+        ]
+        for ext in ("svg", "csv"):
+            assert _sha256(tmp_path / f"horizons_fig2.{ext}") == GATE_DIGESTS[f"fig2.{ext}"]
 
     def test_empty_scene(self, tmp_path):
         from desitter_horizons.figures import FigureScene
