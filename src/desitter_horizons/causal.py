@@ -27,7 +27,7 @@ from .manifold import (
     _read_only_copy,
     _sphere_points,
 )
-from .minkowski import _form, _norm
+from .minkowski import _cosh, _form, _norm
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -67,8 +67,9 @@ class HalfSpaceSet:
     The margin a . coords(e) - c is positive inside; members of a hyperplane
     are always Boundary. The set keeps a read-only copy of the covector.
     It answers for the coordinates it is given: a point of the wrong width
-    raises ValueError, but (500, 0, 0) off S(1) is Inside J_minus_L; Event
-    certifies membership.
+    or with a NaN margin raises ValueError, but (500, 0, 0) off S(1) is
+    Inside J_minus_L, and so is (inf, 0, 0); Event certifies membership.
+    The covector and threshold must be finite.
     """
 
     covector: np.ndarray
@@ -84,8 +85,11 @@ class HalfSpaceSet:
         a = _read_only_copy(_as_point(self.covector, ctx))
         if not np.any(a):
             raise ValueError("covector must be nonzero")
+        c = float(self.threshold)
+        if not (np.isfinite(a).all() and math.isfinite(c)):
+            raise ValueError(f"covector and threshold must be finite, got {a} and {c}")
         object.__setattr__(self, "covector", a)
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "threshold", c)
         object.__setattr__(self, "band", ctx.tol * ctx.radius)
 
     def margins(self, points: np.ndarray) -> np.ndarray:
@@ -96,7 +100,10 @@ class HalfSpaceSet:
         return pts @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
+        """Raises ValueError where the margin is NaN, which no region holds."""
         m = float(self.margins(_as_point(point, self.context)))
+        if m != m:
+            raise ValueError(f"the margin of {point} is NaN")
         return _verdict(m, self.band, open_only=self.hyperplane)
 
     def contains(self, point) -> bool:
@@ -113,16 +120,6 @@ def _set(
     """The set a . e > threshold (= when `hyperplane`) of the covector
     a = (x1, 0, ..., 0, t) in ctx."""
     return HalfSpaceSet((x1,) + (0.0,) * (ctx.n - 1) + (t,), threshold, ctx, hyperplane)
-
-
-def _cosh(psi: float) -> float:
-    """cosh(psi); ValueError unless it is finite, and so psi too."""
-    try:
-        if (c := math.cosh(psi)) < math.inf:
-            return c
-    except OverflowError:
-        pass
-    raise ValueError(f"rapidity must be finite with a finite cosh, got {psi}")
 
 
 def cone_at_L_psi(ctx: SpacetimeContext, psi: float) -> HalfSpaceSet:
@@ -309,14 +306,15 @@ def horizon_limit_check(ctx: SpacetimeContext, q: Event, psis) -> np.ndarray:
         |x_1 - t tanh(psi)| + R / cosh(psi),
     i.e. the distance to the asymptotic plane plus the decaying threshold;
     for x_1 = t >= 0 it decreases strictly to zero, exhibiting the horizon as
-    the limiting cone position.
+    the limiting cone position. Raises ValueError unless every cosh(psi) is
+    finite.
     """
     _check_context(ctx, q.context)
     if horizon_past(ctx).verdict(q.point).region is not Region.BOUNDARY:
         raise ValueError("event is not on the past horizon x_1 = t")
     psis = np.asarray(psis, dtype=float)
     x1, t = float(q.point[0]), q.t
-    return np.abs(x1 - t * np.tanh(psis)) + ctx.radius / np.cosh(psis)
+    return np.abs(x1 - t * np.tanh(psis)) + ctx.radius / _cosh(psis)
 
 
 @dataclass(frozen=True, eq=False)

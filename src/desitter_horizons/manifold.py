@@ -21,6 +21,7 @@ from .minkowski import (
     Isometry,
     TimeDirection,
     _as_vector,
+    _cosh,
     _form,
     _negligible,
     _norm,
@@ -256,7 +257,8 @@ class WorldLine:
 
     The base p lies on the hyperboloid, the tangent u is a future unit
     timelike vector with <p, u> = 0; psi is the rapidity of the boost
-    subgroup whose orbit the line is.
+    subgroup whose orbit the line is. at, velocity and sample raise
+    ValueError unless every cosh(psi) is finite.
     """
 
     base: Event
@@ -284,17 +286,17 @@ class WorldLine:
 
     def at(self, psi: float) -> np.ndarray:
         r = self.context.radius
-        return math.cosh(psi) * self.base.point + r * math.sinh(psi) * self.tangent
+        return _cosh(psi) * self.base.point + r * math.sinh(psi) * self.tangent
 
     def velocity(self, psi: float) -> np.ndarray:
         """dL/dpsi; at psi = 0 this is R times the unit tangent."""
         r = self.context.radius
-        return math.sinh(psi) * self.base.point + r * math.cosh(psi) * self.tangent
+        return r * _cosh(psi) * self.tangent + math.sinh(psi) * self.base.point
 
     def sample(self, psis) -> np.ndarray:
         psis = np.asarray(psis, dtype=float)[:, None]
         r = self.context.radius
-        return np.cosh(psis) * self.base.point + r * np.sinh(psis) * self.tangent
+        return _cosh(psis) * self.base.point + r * np.sinh(psis) * self.tangent
 
 
 def canonical_worldline(ctx: SpacetimeContext) -> WorldLine:

@@ -156,10 +156,29 @@ def isometry_from_matrix(m: np.ndarray) -> Isometry:
     return Isometry(matrix=np.asarray(m, dtype=float))
 
 
+def _cosh(psi):
+    """cosh(psi): math.cosh of a float, np.cosh of an array. Raises ValueError,
+    without a warning, unless every value is finite, and so psi too."""
+    try:
+        if isinstance(psi, np.ndarray):
+            with np.errstate(over="ignore"):
+                c = np.cosh(psi)
+        elif (c := math.cosh(psi)) < math.inf:
+            return c
+        finite = np.isfinite(c)
+        if finite.all():
+            return c
+        psi = np.extract(~finite, psi)[0]
+    except OverflowError:
+        pass
+    raise ValueError(f"cosh({psi}) is not finite: a rapidity must be finite with a finite cosh")
+
+
 def boost(psi: float, n: int = 2) -> Isometry:
-    """Hyperbolic rotation in the (x_1, t) plane with rapidity psi."""
+    """Hyperbolic rotation in the (x_1, t) plane with rapidity psi. Raises
+    ValueError unless cosh(psi) is finite."""
     m = np.eye(n + 1)
-    c, s = math.cosh(psi), math.sinh(psi)
+    c, s = _cosh(psi), math.sinh(psi)
     m[0, 0] = c
     m[0, -1] = s
     m[-1, 0] = s

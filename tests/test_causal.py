@@ -164,6 +164,31 @@ class TestHalfSpaces:
         with pytest.raises(ValueError, match="not on the hyperboloid"):
             Event(point=(500.0, 0.0, 0.0), context=CTX)
 
+    @pytest.mark.parametrize("factory", [J_minus_L, J_plus_L, horizon_past, horizon_future])
+    def test_nan_is_never_inside(self, factory):
+        # A NaN margin fails both comparisons of the three-way split, so it
+        # would read as Inside; the verdict refuses it instead.
+        s = factory(CTX)
+        for point in ((math.nan, 0, 0), (0, math.nan, 0), (0, 0, math.nan)):
+            for call in (s.verdict, s.contains):
+                with pytest.raises(ValueError, match="NaN"):
+                    call(point)
+        assert J_minus_L(CTX).verdict((math.inf, 0, 0)) == CausalVerdict(Region.INSIDE, math.inf)
+
+    @pytest.mark.parametrize(
+        "covector,threshold",
+        [
+            ((math.nan, 0.0, 0.0), 0.0),
+            ((1.0, 0.0, math.inf), 0.0),
+            ((1.0, 0.0, -1.0), math.nan),
+            ((1.0, 0.0, -1.0), -math.inf),
+        ],
+        ids=["nan-covector", "inf-covector", "nan-threshold", "inf-threshold"],
+    )
+    def test_non_finite_covector_or_threshold_rejected(self, covector, threshold):
+        with pytest.raises(ValueError, match="must be finite"):
+            HalfSpaceSet(covector, threshold, CTX)
+
     def test_band_rejected_in_the_context_slot(self):
         # The old signature (covector, threshold, band) fails at construction.
         with pytest.raises(ValueError, match="SpacetimeContext"):
@@ -455,6 +480,14 @@ class TestHorizonLimit:
         with pytest.raises(ValueError):
             horizon_limit_check(CTX, event(CTX, 1, 0, 0), [1.0])
 
+    @pytest.mark.parametrize("psi", [800.0, -800.0, math.inf, math.nan])
+    def test_rapidity_without_a_finite_cosh_rejected(self, psi):
+        # A ValueError before numpy's overflow warning, an error in this suite.
+        q = event(CTX, 2.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="finite cosh"):
+            horizon_limit_check(CTX, q, [1.0, psi])
+        assert horizon_limit_check(CTX, q, [710.0])[0] == 1.0 / np.cosh(710.0)
+
 
 class TestThroatIntersection:
     def test_canonical_two_points(self):
@@ -691,6 +724,21 @@ class TestZeroTolerance:
                 ):
                     if abs(chord.margin) > 1e-12:
                         assert frame.region is chord.region
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_every_apex_is_boundary_on_both_frame_verdicts(self):
+        # ROADMAP item 7: the apex of (1, 1, 1) and of (1, -1, 1) is Outside
+        # its own causal past by 2.2e-16, the rounding of its orientation
+        # field, while chord_oracle_past(p, p) is Boundary with margin 0.
+        ctx = SpacetimeContext(tol=0.0)
+        off = []
+        for pt in self.POINTS:
+            p = event(ctx, *pt)
+            assert chord_oracle_past(p, p) == CausalVerdict(Region.BOUNDARY, 0.0)
+            for verdict in (causal_past_of_event(p, p), causal_future_of_event(p, p)):
+                if verdict.region is not Region.BOUNDARY:
+                    off.append((pt, verdict.margin))
+        assert off == []
 
 
 class TestExactOracle:

@@ -224,6 +224,30 @@ class TestCanonicalWorldline:
         assert classify(v) is CausalClass.TIMELIKE
         assert time_direction(v) is TimeDirection.FUTURE
 
+    @pytest.mark.parametrize("psi", [800.0, -800.0, math.inf, math.nan])
+    def test_rapidity_without_a_finite_cosh_rejected(self, psi):
+        # A ValueError, not math's OverflowError; below |psi| ~ 710.48 the
+        # coordinates keep their bits.
+        wl = canonical_worldline(CTX)
+        for call in (wl.at, wl.velocity):
+            with pytest.raises(ValueError, match="finite cosh"):
+                call(psi)
+        c, s = math.cosh(710.0), math.sinh(710.0)
+        np.testing.assert_array_equal(wl.at(710.0), [c, 0.0, s])
+        np.testing.assert_array_equal(wl.velocity(710.0), [s, 0.0, c])
+
+    def test_sample_rejects_an_overflowing_rapidity_without_a_warning(self):
+        # numpy's overflow warning is an error in this suite: the ValueError
+        # must come first. Finite rapidities keep np.cosh's bits.
+        wl = canonical_worldline(CTX)
+        for psis in ([0.0, 800.0], [-800.0], [math.inf, 1.0], [math.nan]):
+            with pytest.raises(ValueError, match="finite cosh"):
+                wl.sample(psis)
+        psis = np.array([-710.0, 0.5, 710.0])
+        np.testing.assert_array_equal(
+            wl.sample(psis), np.column_stack([np.cosh(psis), np.zeros(3), np.sinh(psis)])
+        )
+
     def test_invalid_tangent_rejected(self):
         with pytest.raises(ValueError):
             WorldLine(base=event(CTX, 1, 0, 0), tangent=np.array([1.0, 0.0, 0.0]))

@@ -151,6 +151,16 @@ class TestIsometryInverse:
         assert boost(2.0).inverse().preserves_time
 
 
+class TestBoostRapidity:
+    @pytest.mark.parametrize("psi", [800.0, -800.0, math.inf, -math.inf, math.nan])
+    def test_rapidity_without_a_finite_cosh_rejected(self, psi):
+        # cosh overflows past |psi| ~ 710.48; below that the entries keep their bits.
+        with pytest.raises(ValueError, match="finite cosh"):
+            boost(psi)
+        m = boost(710.0).matrix
+        assert (m[0, 0], m[0, -1]) == (math.cosh(710.0), math.sinh(710.0))
+
+
 class TestIsometryEquality:
     def test_exact_matrix_equality(self):
         assert boost(1.0) == boost(1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,32 @@ class TestHorizonSymmetry:
         ctx = SpacetimeContext(radius=2.0, n=3)
         report = horizon_symmetry_check(ctx, samples=2000, rng=np.random.default_rng(3))
         assert report.violations == 0
+
+    def test_draws_nothing(self):
+        # The identity is exact, so the caller's Generator is left untouched.
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        horizon_symmetry_check(CTX, samples=1000, rng=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("radius", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+    def test_exact_report(self, n, radius, tol):
+        # What sampling the two horizons found at every R, tol and seed: the
+        # reflection of x_1 = +-t is x_1 = +-t exactly, margin +0.0.
+        ctx = SpacetimeContext(radius=radius, n=n, tol=tol)
+        for samples in (0, 1, 7, 1000):
+            report = horizon_symmetry_check(ctx, samples=samples)
+            assert report == SamplingReport(2 * samples, 0, 0.0)
+            assert math.copysign(1.0, report.worst_margin) == 1.0
+
+    @pytest.mark.parametrize(
+        "samples,error", [(-1, ValueError), (2.5, TypeError), (True, TypeError)]
+    )
+    def test_sample_count_must_be_a_non_negative_int(self, samples, error):
+        with pytest.raises(error):
+            horizon_symmetry_check(CTX, samples=samples)
 
 
 @pytest.mark.parametrize(
