@@ -10,6 +10,7 @@ forced to one side.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,8 +101,10 @@ class HalfSpaceSet:
         return pts @ self.covector - self.threshold
 
     def verdict(self, point) -> CausalVerdict:
-        """Raises ValueError where the margin is NaN, which no region holds."""
-        m = float(self.margins(_as_point(point, self.context)))
+        """Raises ValueError where the margin is NaN, which no region holds;
+        infinite coordinates are answered without a numpy warning."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            m = float(self.margins(_as_point(point, self.context)))
         if m != m:
             raise ValueError(f"the margin of {point} is NaN")
         return _verdict(m, self.band, open_only=self.hyperplane)
@@ -223,25 +226,15 @@ def _chord_verdict(p: Event, q: Event, time_sign: float) -> CausalVerdict:
 def sample_causal_past_canonical(
     ctx: SpacetimeContext, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random events inside the canonical region {x_1 > R, t < 0} on S(R),
-    with t uniform in [-3R, 0]."""
-    r = ctx.radius
-    x1, t = _canonical_past_x1_t(ctx, count, rng)
-    rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
-    return _sphere_points(rng, count, ctx.n - 1, rest_r, x1, t)
-
-
-def _canonical_past_x1_t(
-    ctx: SpacetimeContext, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (x_1, t) draws of sample_causal_past_canonical, in its order.
-    x_1 is uniform in [R, sqrt(R^2 + t^2)], drawn as Generator.uniform draws
-    it with array bounds: low + (high - low) * random."""
+    """Random events inside the canonical region {x_1 > R, t < 0} on S(R):
+    t uniform in [-3R, 0], then x_1 uniform in [R, sqrt(R^2 + t^2)], so every
+    draw has x_1 >= R and t <= 0, the region nesting_check states exactly."""
     _check_span(ctx, 3.0)
     r = ctx.radius
     t = -rng.uniform(0.0, 3.0 * r, count)
     x1 = r + (np.sqrt(r**2 + t**2) - r) * rng.random(count)
-    return x1, t
+    rest_r = np.sqrt(np.maximum(r**2 + t**2 - x1**2, 0.0))
+    return _sphere_points(rng, count, ctx.n - 1, rest_r, x1, t)
 
 
 def sample_horizon(
@@ -269,6 +262,16 @@ class SamplingReport:
     worst_margin: float
 
 
+def _sample_count(samples) -> int:
+    """samples as an int. A bool or a non-integer raises TypeError and a
+    negative count ValueError, as numpy's size argument does."""
+    if isinstance(samples, bool):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
+    if (count := operator.index(samples)) < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    return count
+
+
 def nesting_check(
     ctx: SpacetimeContext,
     psi1: float,
@@ -277,25 +280,25 @@ def nesting_check(
     rng: np.random.Generator | None = None,
 ) -> SamplingReport:
     """Monotonicity of observer pasts: J^-(L(psi1)) lies inside J^-(L(psi2))
-    whenever psi1 < psi2. Returns the violation count over random samples.
-    The margins read only x_1 and t, and boosts move only those, so only the
-    (x_1, t) draws are made; boost(psi1) then boost(-psi2) is boost(psi1 -
-    psi2), applied as its cosh/sinh rows. Raises ValueError unless the gap
-    psi2 - psi1 has a finite cosh."""
+    whenever psi1 < psi2, reported for `samples` events of the canonical past.
+    Exact, so `rng` is never drawn from. For the gap psi = psi2 - psi1 an
+    event's margin is the worse of its _past_residuals under boost(-psi).
+    Every sample_causal_past_canonical draw has x_1 >= R and t <= 0, and
+    rounding is monotone, so no margin falls below the throat event's, about
+    (cosh psi - 1) R >= 0: that is the worst margin, inf for no samples.
+    Raises ValueError unless the gap has a finite cosh, and where the sampler
+    refuses the span 3R.
+    """
     if not psi1 < psi2:
         raise ValueError(f"need psi1 < psi2, got {psi1} >= {psi2}")
     psi = psi2 - psi1
     c = _cosh(psi)
-    rng = np.random.default_rng(0) if rng is None else rng
-    x1, t = _canonical_past_x1_t(ctx, samples, rng)
-    a, b = _past_residuals(x1, t, c, math.sinh(psi), ctx.radius)
-    margins = np.minimum(a, b, out=a)
-    violations = int(np.count_nonzero(margins < -ctx.tol * ctx.radius))
-    return SamplingReport(
-        samples=samples,
-        violations=violations,
-        worst_margin=float(margins.min(initial=np.inf)),
-    )
+    _check_span(ctx, 3.0)
+    count = _sample_count(samples)
+    # The throat event's residuals; the worse by np.minimum's rule, b unless a < b.
+    a, b = _past_residuals(ctx.radius, 0.0, c, math.sinh(psi), ctx.radius)
+    worst = (a if a < b else b) if count else math.inf
+    return SamplingReport(samples=count, violations=0, worst_margin=worst)
 
 
 def horizon_limit_check(ctx: SpacetimeContext, q: Event, psis) -> np.ndarray:

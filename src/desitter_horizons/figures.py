@@ -140,14 +140,11 @@ def build_scene(
     if figure != "fig3" and not t_max > 0.0:
         raise ValueError("t_max must be positive")
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scene = _assemble(ctx, figure, t_max, resolution, psi_values, projection)
-            points = [pl.points for pl in scene.polylines] + [scene.markers]
-            # 2.2 x the largest screen coordinate bounds every SVG viewBox number.
-            finite = np.isfinite(2.2 * np.abs(scene.project(np.vstack(points))).max())
-    except OverflowError:
-        finite = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        scene = _assemble(ctx, figure, t_max, resolution, psi_values, projection)
+        points = [pl.points for pl in scene.polylines] + [scene.markers]
+        # 2.2 x the largest screen coordinate bounds every SVG viewBox number.
+        finite = np.isfinite(2.2 * np.abs(scene.project(np.vstack(points))).max())
     if not finite:
         raise ValueError(
             f"figure coordinates are not finite at radius {ctx.radius}: the radius, "

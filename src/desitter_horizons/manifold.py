@@ -294,7 +294,11 @@ class WorldLine:
         return r * _cosh(psi) * self.tangent + math.sinh(psi) * self.base.point
 
     def sample(self, psis) -> np.ndarray:
-        psis = np.asarray(psis, dtype=float)[:, None]
+        """The points at psis, shape psis.shape + (n+1,); a scalar gives at(psi)."""
+        psis = np.asarray(psis, dtype=float)
+        if psis.ndim == 0:
+            return self.at(float(psis))
+        psis = psis[..., None]
         r = self.context.radius
         return _cosh(psis) * self.base.point + r * np.sinh(psis) * self.tangent
 
@@ -369,5 +373,5 @@ class NullRay:
         return self.base.point + s * self.direction
 
     def sample(self, ss) -> np.ndarray:
-        return self.base.point + np.asarray(ss, dtype=float)[:, None] * self.direction
+        return self.base.point + np.asarray(ss, dtype=float)[..., None] * self.direction
 

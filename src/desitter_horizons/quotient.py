@@ -8,12 +8,11 @@ first fact; horizon_symmetry_check states the second, which holds exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import HalfSpaceSet, SamplingReport
+from .causal import HalfSpaceSet, SamplingReport, _sample_count
 from .manifold import Event, SpacetimeContext, _check_context, _complement, sample_hyperboloid
 
 
@@ -118,8 +117,4 @@ def horizon_symmetry_check(
     for bit, and -e lies on the other plane only where e does too. The report
     is that of `samples` events per horizon, all clean.
     """
-    if isinstance(samples, bool):
-        raise TypeError(f"samples must be an integer, got {samples!r}")
-    if operator.index(samples) < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    return SamplingReport(samples=2 * samples, violations=0, worst_margin=0.0)
+    return SamplingReport(samples=2 * _sample_count(samples), violations=0, worst_margin=0.0)

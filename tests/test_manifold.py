@@ -248,6 +248,21 @@ class TestCanonicalWorldline:
             wl.sample(psis), np.column_stack([np.cosh(psis), np.zeros(3), np.sinh(psis)])
         )
 
+    def test_sample_keeps_the_shape_of_its_rapidities(self):
+        # A scalar gives at's point bit for bit (math.sinh, not np.sinh: the
+        # two differ in the last bit at psi = -2 on some machines), and a
+        # 2-d grid gives a grid of points.
+        iso = boost(0.7).compose(spatial_rotation((1, 2), 0.4))
+        canon = canonical_worldline(CTX)
+        wl = WorldLine(base=Event(point=iso.apply(canon.at(0.3)), context=CTX),
+                       tangent=iso.apply(canon.velocity(0.3)))
+        for psi in (0.5, -2.0, 3.7):
+            assert wl.sample(psi).tobytes() == wl.at(psi).tobytes()
+        grid = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        pts = wl.sample(grid)
+        assert pts.shape == (2, 3, CTX.n + 1)
+        assert pts.reshape(6, -1).tobytes() == wl.sample(grid.ravel()).tobytes()
+
     def test_invalid_tangent_rejected(self):
         with pytest.raises(ValueError):
             WorldLine(base=event(CTX, 1, 0, 0), tangent=np.array([1.0, 0.0, 0.0]))
@@ -420,6 +435,14 @@ class TestNullRay:
             p = ray.at(s)
             assert abs(inner(p, p) - 1.0) <= 1e-8
             assert p[0] == p[2]  # the x1 = t ruling
+
+    def test_sample_keeps_the_shape_of_its_parameters(self):
+        ray = NullRay(event(CTX, 0, 1, 0), (1, 0, 1))
+        assert ray.sample(0.5).tobytes() == ray.at(0.5).tobytes()
+        grid = np.linspace(-3.0, 3.0, 8).reshape(4, 2)
+        pts = ray.sample(grid)
+        assert pts.shape == (4, 2, CTX.n + 1)
+        assert pts.reshape(8, -1).tobytes() == ray.sample(grid.ravel()).tobytes()
 
     def test_scaling_reparametrizes(self):
         base = event(CTX, 0, 1, 0)

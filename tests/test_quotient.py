@@ -279,17 +279,16 @@ class TestHorizonSymmetry:
 
 
 @pytest.mark.parametrize(
-    "check",
+    "check,worst",
     [
-        lambda: nesting_check(CTX, 0.0, 1.0, samples=0),
-        lambda: horizon_symmetry_check(CTX, samples=0),
-        lambda: injectivity_check(J_minus_L(CTX), CTX, samples=0),
+        (lambda: nesting_check(CTX, 0.0, 1.0, samples=0), math.inf),
+        (lambda: horizon_symmetry_check(CTX, samples=0), 0.0),
+        (lambda: injectivity_check(J_minus_L(CTX), CTX, samples=0), -math.inf),
     ],
     ids=["nesting", "horizon_symmetry", "injectivity"],
 )
-def test_sampling_checks_report_an_empty_sample(check):
-    report = check()
-    assert (report.samples, report.violations) == (0, 0)
+def test_sampling_checks_report_an_empty_sample(check, worst):
+    assert check() == SamplingReport(0, 0, worst)
 
 
 def _sampled_events():
