@@ -28,7 +28,7 @@ from .manifold import (
     _read_only_copy,
     _sphere_points,
 )
-from .minkowski import _cosh, _form, _norm
+from .minkowski import _cosh, _form, _negligible, _norm
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.
@@ -325,13 +325,20 @@ class ThroatIntersection:
     """The past horizon's trace on the throat slice: the great sphere
     {a . x = 0} of |x| = R, an intrinsic sphere of radius pi R / 2 about its
     pole R a. The pole is the observer's throat event only when the observer
-    crosses the throat at rest (u_x = 0), as the canonical one does."""
+    crosses the throat at rest (u_x = 0), as the canonical one does. The
+    normal must be a finite unit vector of n components, to ctx.tol."""
 
     context: SpacetimeContext
     plane_normal: np.ndarray  # spatial covector a of the horizon plane, unit
 
     def __post_init__(self):
-        object.__setattr__(self, "plane_normal", _read_only_copy(self.plane_normal))
+        a = _read_only_copy(self.plane_normal)
+        n = self.context.n
+        # Python floats overflow to inf without numpy's warning.
+        q = sum(x * x for x in a.tolist()) if a.shape == (n,) else math.nan
+        if not _negligible(q - 1.0, q + 1.0, self.context.tol, n + 1):
+            raise ValueError(f"plane normal must be a finite unit vector of {n} components: {a}")
+        object.__setattr__(self, "plane_normal", a)
 
     @property
     def center(self) -> Event:
@@ -367,23 +374,20 @@ def throat_intersection(
 ) -> ThroatIntersection:
     """Trace of the past horizon of `line` on the throat slice t = 0.
 
-    The world line crosses the throat at a unique rapidity; the horizon plane
-    in the line's canonical frame pulls back to a hyperplane through the
-    origin, whose t = 0 section is an intrinsic sphere of radius pi R / 2
-    about the pole of the plane's spatial normal.
+    The past horizon of the line through p with unit tangent u is the null
+    hyperplane <e, k+> = 0 with k+ = p / R + u (Hawking and Ellis 1973, 5.2),
+    so its t = 0 section is an intrinsic sphere of radius pi R / 2 about the
+    pole k+_x / |k+_x|. Raises ValueError where k+_x is lost to cancellation,
+    within rounding of |p_x| / R + |u_x|, as for lines based far in the past.
     """
     line = canonical_worldline(ctx) if line is None else line
     _check_context(ctx, line.context)
-    r = ctx.radius
-    p_t = float(line.base.point[-1])
-    u_t = float(line.tangent[-1])
-    psi_star = math.atanh(-p_t / (r * u_t))
-    # The horizon covector is the x_1 row minus the t row of the inverse
-    # frame at the crossing. Their spatial parts are x/R and -u_x for the unit
-    # tangent u = velocity(psi*) / R, so no frame needs to be built. x/R and
-    # u_x are orthogonal at the crossing, so |a|^2 = 1 + |u_x|^2 >= 1.
-    a = line.at(psi_star)[:-1] / r + line.velocity(psi_star)[:-1] / r
-    return ThroatIntersection(context=ctx, plane_normal=a / _norm(a))
+    p_x, u_x = line.base.spatial / ctx.radius, line.tangent[:-1]
+    a = p_x + u_x
+    size = _norm(a)
+    if _negligible(size, _norm(p_x) + _norm(u_x), 0.0, 2):
+        raise ValueError(f"k+_x of the line is lost to cancellation: {a}")
+    return ThroatIntersection(context=ctx, plane_normal=a / size)
 
 
 def union_witness(ctx: SpacetimeContext, q: Event) -> float:

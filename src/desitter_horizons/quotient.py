@@ -62,11 +62,13 @@ def injectivity_check(
     yields the pair {e, -e}, and each member inside is tested against the
     other's margin. Each draw is `samples` points, at most 200 draws. For a
     threshold c < -band the equatorial pair, inside twice, is counted first.
-    Hyperplanes (horizons) are rejected: they are centrally symmetric.
+    Hyperplanes (horizons) are rejected: they are centrally symmetric. A
+    bool, non-integer or negative `samples` raises as in nesting_check.
     """
     _check_context(ctx, region.context)
     if region.hyperplane:
         raise ValueError("injectivity is only meaningful for open half-spaces")
+    samples = _sample_count(samples)
     rng = np.random.default_rng(0) if rng is None else rng
     band, c = region.band, region.threshold
     collected = violations = 0

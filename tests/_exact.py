@@ -1,4 +1,4 @@
-"""Integer events of S(R) and exact verdicts on them, for R = 1105.
+"""Integer events and world lines of S(R), and exact verdicts on them, for R = 1105.
 
 R = 1105 = 5 * 13 * 17 has many integer points on its circle, so rejection
 finds integer events (x, t) with |x|^2 - t^2 = R^2 quickly. Integer isometries
@@ -73,6 +73,19 @@ def _carry(e: tuple, steps) -> tuple:
     for perm, signs in steps:
         e = _reflect(_signed_permutation(e, perm, signs))
     return e
+
+
+def world_lines(n: int, count: int, rnd: random.Random):
+    """`count` integer world lines (p, u) = (g(R e_1), g(e_t)), g from
+    outward_isometry, each followed by (-p, u). Every g(R e_1) is based at
+    t >= 0, so each -p is based as far in the past. Both are lines: <p, p> =
+    R^2, <u, u> = -1 and <p, u> = 0, with u future directed."""
+    base, tangent = (R,) + (0,) * n, (0,) * n + (1,)
+    for _ in range(count):
+        g = outward_isometry([base], rnd)
+        p, u = g(base), g(tangent)
+        yield p, u
+        yield tuple(-x for x in p), u
 
 
 def throat_cone_pair(n: int, rnd: random.Random) -> tuple:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -567,15 +568,29 @@ class TestThroatIntersection:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "normal",
+        [
+            (2.0, 0.0),  # its own pole R a at distance 0.98 R
+            (0.0, 0.0),
+            (math.nan, 1.0),  # these two sampled NaN rows
+            (1.0, 0.0, 0.0),  # failed inside numpy's matmul at n = 2
+            (1e200, 0.0),  # refused without an overflow warning
+        ],
+    )
+    def test_normal_must_be_a_finite_unit_vector_of_width_n(self, normal):
+        with pytest.raises(ValueError):
+            ThroatIntersection(CTX, np.array(normal))
+
     def test_derived_fields(self):
         ctx = SpacetimeContext(radius=2.0, n=3)
         ti = throat_intersection(ctx)
         assert ti.context is ctx and ti.expected_distance == math.pi
 
     def test_degenerate_plane_at_large_tolerance(self):
-        # The spatial normal x/R + u_x has norm sqrt(1 + |u_x|^2) >= 1, so no
-        # tolerance makes it degenerate: at tol = 0.9 and |u_x| = 1 the line
-        # still has the normal (1, 1) / sqrt(2).
+        # The guard on k+_x = x/R + u_x allows only rounding and ignores the
+        # tolerance: at tol = 0.9 and |u_x| = 1, |k+_x| is 0.71 of |x|/R +
+        # |u_x|, and the line still has the normal (1, 1) / sqrt(2).
         ctx = SpacetimeContext(tol=0.9)
         line = WorldLine(event(ctx, 1, 0, 0), (0.0, 1.0, math.sqrt(2.0)))
         ti = throat_intersection(ctx, line)
@@ -583,38 +598,51 @@ class TestThroatIntersection:
         for p in ti.sample(20, np.random.default_rng(8)):
             assert ti.distance(p) == pytest.approx(math.pi / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("psi", [8.0, -8.0, 12.0, -12.0])
-    def test_large_base_rapidity(self, psi):
-        # The line of TestCanonicalize::test_rapidity_12_line, based at psi.
-        # line.at(psi*) cancels terms of size cosh(psi), so the center, the
-        # pole of the plane normal, stays within a few eps * cosh(psi)^2 of
-        # the exact pole: the normalized spatial part of k+ = iso (1, 0, 1).
-        canon = canonical_worldline(CTX)
-        iso = (
-            spatial_rotation((1, 2), 0.3)
-            .compose(boost(1.0))
-            .compose(spatial_rotation((1, 2), 0.8))
-        )
-        line = WorldLine(
-            base=Event(point=iso.apply(canon.at(psi)), context=CTX),
-            tangent=iso.apply(canon.velocity(psi)),
-        )
-        ti = throat_intersection(CTX, line)
-        k = iso.apply((1.0, 0.0, 1.0))[:-1]
-        exact = np.append(k / np.linalg.norm(k), 0.0)
-        gap = np.abs(ti.center.point - exact).max()
-        assert gap <= 4 * np.finfo(float).eps * math.cosh(psi) ** 2
+    # The isometry of TestCanonicalize::test_rapidity_12_line; the exact pole
+    # of its image of the canonical line is iso (1, 0, 1), normalized.
+    ISO = (
+        spatial_rotation((1, 2), 0.3)
+        .compose(boost(1.0))
+        .compose(spatial_rotation((1, 2), 0.8))
+    )
 
-    @pytest.mark.xfail(strict=True, raises=ValueError)
-    def test_throat_of_a_line_based_at_rapidity_20(self):
-        # The line crosses the throat at psi* = -20, but the solve takes
-        # atanh(-p_t / (R u_t)) and tanh(20) rounds to 1: a math domain error.
-        # The closed form k+_x = (base / R + tangent)_x reads (1, 0) exactly.
+    @staticmethod
+    def _line_at(psi, iso=None):
+        """The canonical line at R = 1, or its image under iso, based at psi."""
         canon = canonical_worldline(CTX)
-        line = WorldLine(
-            base=Event(point=canon.at(20.0), context=CTX), tangent=canon.velocity(20.0)
-        )
+        base, tangent = canon.at(psi), canon.velocity(psi)
+        if iso is not None:
+            base, tangent = iso.apply(base), iso.apply(tangent)
+        return WorldLine(base=Event(point=base, context=CTX), tangent=tangent)
+
+    @pytest.mark.parametrize("psi", [0.0, 8.0, 12.0, 18.0, 60.0, -8.0, -12.0, -15.0])
+    def test_large_base_rapidity(self, psi):
+        # k+ = base / R + tangent rounds once per term. Based at psi >= 0 both
+        # terms are ~ e^psi / 2 and add up to k+ ~ e^psi, so the pole is
+        # within an eps or two. Based at psi < 0 they are ~ cosh(psi) and
+        # cancel to k+ ~ e^psi, so the pole drifts by a few eps * cosh(psi)^2.
+        ti = throat_intersection(CTX, self._line_at(psi, self.ISO))
+        k = self.ISO.apply((1.0, 0.0, 1.0))[:-1]
+        gap = np.abs(ti.center.point - np.append(k / np.linalg.norm(k), 0.0)).max()
+        eps = np.finfo(float).eps
+        assert gap <= (2 * eps if psi >= 0 else 4 * eps * math.cosh(psi) ** 2)
+
+    @pytest.mark.parametrize("psi", [19.0, 20.0, 30.0, 60.0])
+    def test_throat_of_a_line_based_far_in_the_future(self, psi):
+        # The line crosses the throat at -psi, where tanh(psi) rounds to 1;
+        # k+_x = (base / R + tangent)_x = (e^psi, 0) needs no crossing.
+        line = self._line_at(psi)
         assert throat_intersection(CTX, line).plane_normal.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("psi", [-18.0, -19.0, -20.0, -30.0])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_line_based_far_in_the_past_rejected(self, psi, moving):
+        # k+ ~ e^psi is the difference of two terms ~ cosh(psi), so its
+        # spatial part is rounding: unguarded, the canonical line read the
+        # opposite pole (-1, 0) at -19 and 0 / 0 from -20.
+        line = self._line_at(psi, self.ISO if moving else None)
+        with pytest.raises(ValueError, match="lost to cancellation"):
+            throat_intersection(CTX, line)
 
     @staticmethod
     def _check_moving_observer(ctx, iso, psi0=0.0):
@@ -824,6 +852,29 @@ class TestExactOracle:
         for name in ("frame past", "frame future", "chord past", "chord future"):
             for region in ("boundary", "inside", "outside"):
                 assert seen[name, region] > 0, (name, region)
+
+
+class TestIntegerWorldLines:
+    """throat_intersection against the exact pole of integer world lines
+    (R = 1105, tests/_exact.py): R k+_x = p_x + R u_x is an integer vector."""
+
+    def test_normal_is_the_exact_pole(self):
+        rnd = random.Random(22)
+        eps = np.finfo(float).eps
+        for n in (2, 3):
+            ctx = SpacetimeContext(radius=_exact.R, n=n)
+            for p, u in _exact.world_lines(n, 200, rnd):
+                assert _exact.form(p, p) == _exact.R**2
+                assert _exact.form(u, u) == -1 and _exact.form(p, u) == 0
+                line = WorldLine(base=event(ctx, *p), tangent=np.array(u, dtype=float))
+                normal = throat_intersection(ctx, line).plane_normal.tolist()
+                k = [a + _exact.R * b for a, b in zip(p[:-1], u[:-1])]
+                with localcontext() as digits:
+                    digits.prec = 50
+                    size = Decimal(sum(x * x for x in k)).sqrt()
+                    gap = sum((Decimal(a) - x / size) ** 2 for a, x in zip(normal, k)).sqrt()
+                p_x, u_x = np.linalg.norm(p[:-1]) / _exact.R, np.linalg.norm(u[:-1])
+                assert gap <= 4 * eps * (p_x + u_x) / (float(size) / _exact.R)
 
 
 class TestUnionProperty:
@@ -1283,10 +1334,12 @@ class TestCausalSetGate:
     hyperplane factory, and the throat intersection's plane normal for the
     canonical and a boosted, rotated world line, over n in {2, 3, 6} and R in
     {1e-3, 1, 1e3}. It was recorded before the sets moved to oriented
-    covectors.
+    covectors, and re-recorded when throat_intersection took the closed form
+    k+ = base / R + tangent: only the nine moving-line normals moved, each to
+    within 1.2e-16 of the exact pole of its float inputs (CHANGES.md).
     """
 
-    DIGEST = "4a264193bf5b044497f3d1339930f434b4e155a399aff9c7ee78578d9a99eda7"
+    DIGEST = "0185151ebf7127d09dad6f625fbb65be18a296e4c6cfc6175b29e2d3c997bce8"
 
     def test_digest(self):
         assert _set_gate_digest() == self.DIGEST

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,22 @@ class TestInjectivityCheck:
         report = injectivity_check(region, ctx, samples=samples)
         worst = 1e-6 if samples else -np.inf
         assert report == SamplingReport(samples, samples, worst)
+
+    @pytest.mark.parametrize(
+        "samples,error", [(-1, ValueError), (2.5, TypeError), (True, TypeError)]
+    )
+    @pytest.mark.parametrize("threshold", [0.0, -1e-6])
+    def test_sample_count_must_be_a_non_negative_int(self, samples, error, threshold, monkeypatch):
+        # The count is checked as the exact checks check it, before any draw,
+        # on a set with and without the equatorial pair.
+        def refused(*args):
+            raise AssertionError("no draw is needed")
+
+        monkeypatch.setattr(quotient, "sample_hyperboloid", refused)
+        with pytest.raises(error) as expected:
+            horizon_symmetry_check(CTX, samples=samples)
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            injectivity_check(HalfSpaceSet((1.0, 0.0, -1.0), threshold, CTX), CTX, samples=samples)
 
     def test_empty_region_raises(self):
         # The sampler keeps |t| <= 3R, so neither e nor -e has t > 10R.
