@@ -2,9 +2,10 @@
 
 The scenes show the n = 2 hyperboloid with the eternal observer's world
 line, the two straight null rulings forming the past horizon, and the
-throat circle with its two horizon-intersection points marked. The
-compactified variant squeezes the infinite time range into a bounded band
-while keeping every vertex on the hyperboloid.
+throat circle with its two horizon-intersection points marked. Both come
+from the pole of throat_intersection: each ruling runs from its marker along k+.
+The compactified variant squeezes the infinite time range into a bounded
+band while keeping every vertex on the hyperboloid.
 """
 
 from __future__ import annotations
@@ -177,9 +178,12 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
     wl = canonical_worldline(ctx).sample(np.arcsinh(t_grid / r))
     polylines.append(Polyline("worldline", wl))
 
-    for sign in (1.0, -1.0):
-        pts = np.column_stack([t_grid, np.full_like(t_grid, sign * r), t_grid])
-        polylines.append(Polyline("horizon-past", pts))
+    # The past horizon meets the throat at R (-a_2, a_1) and R (a_2, -a_1), a the
+    # pole of throat_intersection; its rulings run from there along k+ = (a, 1).
+    a = throat_intersection(ctx).plane_normal
+    markers = r * np.array([[-a[1], a[0], 0.0], [a[1], -a[0], 0.0]])
+    for w in markers:
+        polylines.append(Polyline("horizon-past", w + t_grid[:, None] * np.append(a, 1.0)))
 
     polylines.append(Polyline("throat-circle", ring(r, 0.0), closed=True))
 
@@ -192,23 +196,11 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
                 base = np.column_stack([np.full_like(s, r), sign * s, s])
                 polylines.append(Polyline("cone-psi", base @ b.T))
 
-    # The two points where the past horizon meets the throat circle; for the
-    # canonical observer these are (0, +-R, 0).
-    throat = throat_intersection(ctx)
-    direction = _null_space_direction(throat.plane_normal)
-    markers = np.vstack([np.append(r * direction, 0.0), np.append(-r * direction, 0.0)])
-
     if compactified:
         polylines = [Polyline(pl.label, compactify(pl.points, r), pl.closed) for pl in polylines]
         markers = compactify(markers, r)
 
     return FigureScene(tuple(polylines), markers, projection, compactified)
-
-
-def _null_space_direction(normal: np.ndarray) -> np.ndarray:
-    """Unit spatial direction orthogonal to the horizon plane normal (n = 2)."""
-    d = np.array([-normal[1], normal[0]])
-    return -d if d[1] < 0.0 or (d[1] == 0.0 and d[0] < 0.0) else d
 
 
 def emit_csv(scene: FigureScene, path) -> None:

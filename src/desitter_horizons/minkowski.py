@@ -87,6 +87,9 @@ def _classify(v: np.ndarray) -> CausalClass:
     if size == 0.0:
         return CausalClass.ZERO
     if not sys.float_info.min <= size * size <= sys.float_info.max:
+        # A NaN or infinite entry makes hypot NaN or infinite, so it lands here.
+        if not np.isfinite(v).all():
+            raise ValueError(f"a vector with a non-finite entry has no causal class: {v}")
         # An exact power of two takes the largest entry into [1/2, 1), where
         # the terms of <v, v> cannot overflow and their sum is normal.
         v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])

@@ -49,7 +49,13 @@ from desitter_horizons.manifold import (
     orientation_field,
     sample_hyperboloid,
 )
-from desitter_horizons.minkowski import boost, central_symmetry, inner, spatial_rotation
+from desitter_horizons.minkowski import (
+    boost,
+    central_symmetry,
+    inner,
+    spatial_rotation,
+    verify_isometry,
+)
 
 import _exact
 
@@ -855,8 +861,8 @@ class TestExactOracle:
 
 
 class TestIntegerWorldLines:
-    """throat_intersection against the exact pole of integer world lines
-    (R = 1105, tests/_exact.py): R k+_x = p_x + R u_x is an integer vector."""
+    """throat_intersection and canonicalize on integer world lines (R = 1105,
+    tests/_exact.py): R k+_x = p_x + R u_x is an integer vector."""
 
     def test_normal_is_the_exact_pole(self):
         rnd = random.Random(22)
@@ -875,6 +881,19 @@ class TestIntegerWorldLines:
                     gap = sum((Decimal(a) - x / size) ** 2 for a, x in zip(normal, k)).sqrt()
                 p_x, u_x = np.linalg.norm(p[:-1]) / _exact.R, np.linalg.norm(u[:-1])
                 assert gap <= 4 * eps * (p_x + u_x) / (float(size) / _exact.R)
+
+    def test_canonicalize_maps_the_canonical_line_onto_each(self):
+        rnd = random.Random(22)
+        eps = np.finfo(float).eps
+        for n in (2, 3):
+            ctx = SpacetimeContext(radius=_exact.R, n=n)
+            for p, u in _exact.world_lines(n, 200, rnd):
+                p, u = np.array(p, dtype=float), np.array(u, dtype=float)
+                iso = canonicalize(WorldLine(base=event(ctx, *p), tangent=u))
+                assert iso.matrix[:, 0].tobytes() == (p / _exact.R).tobytes()
+                assert iso.matrix[:, -1].tobytes() == u.tobytes()
+                assert iso.preserves_time
+                assert verify_isometry(iso) <= 4 * eps
 
 
 class TestUnionProperty:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import desitter_horizons
+from desitter_horizons.causal import Region, horizon_past
 from desitter_horizons.cli import main as cli_main
 from desitter_horizons.figures import build_scene, compactify, emit_csv, emit_svg
 from desitter_horizons.manifold import SpacetimeContext, on_hyperboloid
@@ -33,17 +34,23 @@ class TestBuildScene:
                 assert abs(p[0] ** 2 + p[1] ** 2 - p[2] ** 2 - 1.0) <= 1e-8
 
     def test_horizon_rulings_are_straight_segments(self):
-        scene = _scene()
-        rulings = [pl for pl in scene.polylines if pl.label == "horizon-past"]
-        assert len(rulings) == 2
-        signs = set()
-        for pl in rulings:
-            assert np.allclose(pl.points[:, 0], pl.points[:, 2])
-            assert np.allclose(np.abs(pl.points[:, 1]), 1.0)
-            signs.add(np.sign(pl.points[0, 1]))
-            np.testing.assert_allclose(pl.points[0], [0, pl.points[0, 1], 0])
-            np.testing.assert_allclose(pl.points[-1], [2, pl.points[0, 1], 2])
-        assert signs == {1.0, -1.0}
+        for radius in (1e-3, 1.0, 1e3):
+            ctx = SpacetimeContext(radius=radius, n=2)
+            horizon = horizon_past(ctx)
+            for figure in ("fig2", "cones"):
+                scene = build_scene(ctx, figure, t_max=2.0 * radius, resolution=32)
+                rulings = [pl for pl in scene.polylines if pl.label == "horizon-past"]
+                assert len(rulings) == len(scene.markers) == 2
+                for pl, marker in zip(rulings, scene.markers):
+                    assert (pl.points[0] == marker).all()
+                    for p in pl.points:
+                        assert horizon.verdict(p).region is Region.BOUNDARY
+                        assert on_hyperboloid(p, ctx)
+                    # The canonical rulings x_1 = t at x_2 = +-R, with no rounding.
+                    np.testing.assert_array_equal(pl.points[:, 0], pl.points[:, 2])
+                    np.testing.assert_array_equal(pl.points[:, 1], marker[1])
+                    assert pl.points[-1, 2] == 2.0 * radius
+                assert sorted(m[1] for m in scene.markers) == [-radius, radius]
 
     def test_worldline_endpoints(self):
         scene = _scene()

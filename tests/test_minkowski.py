@@ -83,11 +83,22 @@ class TestClassify:
         for v in vs:
             assert classify(np.ldexp(v, k)) is classify(v)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308, 1e-160])
     def test_extreme_magnitudes(self, scale):
-        assert classify(scale * np.array([1.0, 0.0, 2.0])) is CausalClass.TIMELIKE
-        assert classify(scale * np.array([2.0, 0.0, 1.0])) is CausalClass.SPACELIKE
-        assert classify(scale * np.array([1.0, 0.0, 1.0])) is CausalClass.NULL
+        # |v|^2 overflows or is subnormal at every scale (1e308 is near the
+        # largest float), so each vector takes the rescale branch, which also
+        # refuses non-finite entries.
+        cases = [
+            ((0.5, 0.0, 1.0), CausalClass.TIMELIKE, TimeDirection.FUTURE),
+            ((0.0, 0.5, -1.0), CausalClass.TIMELIKE, TimeDirection.PAST),
+            ((1.0, 0.0, 0.5), CausalClass.SPACELIKE, TimeDirection.NONE),
+            ((1.0, 0.0, 1.0), CausalClass.NULL, TimeDirection.FUTURE),
+            ((0.0, -1.0, -1.0), CausalClass.NULL, TimeDirection.PAST),
+        ]
+        for v, kind, direction in cases:
+            w = scale * np.array(v)
+            assert classify(w) is kind
+            assert time_direction(w) is direction
 
 
 class TestTimeDirection:
@@ -124,6 +135,21 @@ class TestPublicValidation:
                 fn(v)
         with pytest.raises(ValueError):
             inner(v, v)
+
+    @pytest.mark.parametrize("fn", [classify, time_direction])
+    @pytest.mark.parametrize(
+        "v",
+        [
+            (math.nan, 0.0, 1.0),
+            (0.0, 0.0, math.inf),
+            (math.inf, 0.0, math.inf),
+            (0.0, -math.inf, 1.0),
+            (1.0, math.nan, -math.inf),
+        ],
+    )
+    def test_non_finite_vectors_have_no_class(self, fn, v):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(v)
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ValueError):
