@@ -165,8 +165,8 @@ def horizon_future(ctx: SpacetimeContext) -> HalfSpaceSet:
 def _past_residuals(x1, t, c: float, s: float, r: float):
     """Residuals x_1' - R and -t' of (x_1, t) against the causal past of
     L(psi), (x_1', t') being the x_1 and t rows of boost(-psi), c = cosh(psi)
-    and s = sinh(psi), applied to (x_1, t), floats or arrays; the margin is
-    the worse of the two."""
+    and s = sinh(psi), applied to (x_1, t), all floats; the margin is the
+    worse of the two."""
     return c * x1 - s * t - r, -(c * t - s * x1)
 
 

@@ -1,11 +1,11 @@
 """Scene construction and SVG/CSV emission for the horizon figures.
 
 The scenes show the n = 2 hyperboloid with the eternal observer's world
-line, the two straight null rulings forming the past horizon, and the
-throat circle with its two horizon-intersection points marked. Both come
-from the pole of throat_intersection: each ruling runs from its marker along k+.
-The compactified variant squeezes the infinite time range into a bounded
-band while keeping every vertex on the hyperboloid.
+line, the past horizon and the throat circle, with the two points where they
+meet marked. Every ruling drawn is a NullRay: the horizon's two run from the
+markers along k+ = (a, 1), a the pole of throat_intersection, and the cones
+figure pushes the throat event's two rulings forward by each boost. fig3
+compactifies time into a bounded band, keeping every vertex on the hyperboloid.
 """
 
 from __future__ import annotations
@@ -16,20 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causal import throat_intersection
-from .manifold import SpacetimeContext, _read_only_copy, canonical_worldline
+from .manifold import Event, NullRay, SpacetimeContext, _read_only_copy, canonical_worldline
 from .minkowski import boost
 
-LABELS = frozenset(
-    {
-        "hyperboloid-meridian",
-        "hyperboloid-parallel",
-        "worldline",
-        "horizon-past",
-        "horizon-future",
-        "throat-circle",
-        "cone-psi",
-    }
+# Each group of polyline labels with its SVG style, in the <style> order.
+_LABEL_STYLES = (
+    (("hyperboloid-meridian", "hyperboloid-parallel"), "stroke:#b8c0cc;stroke-width:0.35%;"),
+    (("worldline",), "stroke:#1f4e9c;stroke-width:0.7%;"),
+    (("horizon-past",), "stroke:#c22121;stroke-width:0.7%;"),
+    (("horizon-future",), "stroke:#c28a21;stroke-width:0.7%;"),
+    (("throat-circle",), "stroke:#2c8a4b;stroke-width:0.55%;"),
+    (("cone-psi",), "stroke:#7a4ec2;stroke-width:0.45%;"),
 )
+LABELS = frozenset(label for group, _ in _LABEL_STYLES for label in group)
 MARKER_LABEL = "throat-intersection"
 
 _MERIDIANS = 12
@@ -44,7 +43,14 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
+def _vertices(name: str, points, least: int) -> np.ndarray:
+    pts = _read_only_copy(points)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < least:
+        raise ValueError(f"{name} must have shape (k, 3) with k >= {least}, got {pts.shape}")
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
 class Polyline:
     label: str
     points: np.ndarray  # shape (k, 3): columns x1, x2, t
@@ -53,13 +59,10 @@ class Polyline:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"unknown polyline label {self.label!r}")
-        pts = _read_only_copy(self.points)
-        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-            raise ValueError(f"points must have shape (k, 3) with k >= 1, got {pts.shape}")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _vertices("points", self.points, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FigureScene:
     polylines: tuple[Polyline, ...]
     markers: np.ndarray  # shape (m, 3) marked events
@@ -67,15 +70,13 @@ class FigureScene:
     compactified: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "markers", _read_only_copy(self.markers))
+        object.__setattr__(self, "markers", _vertices("markers", self.markers, 0))
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Cabinet projection to screen coordinates (u, v)."""
         cu, cv = self.projection
         pts = np.asarray(points, dtype=float)
-        u = pts[:, 1] - cu * pts[:, 0]
-        v = pts[:, 2] - cv * pts[:, 0]
-        return np.column_stack([u, v])
+        return np.column_stack([pts[:, 1] - cu * pts[:, 0], pts[:, 2] - cv * pts[:, 0]])
 
 
 def compactify(points: np.ndarray, radius: float) -> np.ndarray:
@@ -88,11 +89,7 @@ def compactify(points: np.ndarray, radius: float) -> np.ndarray:
     t = pts[:, 2]
     tau = (2.0 * radius / math.pi) * np.arctan(t / radius)
     sigma = np.sqrt((radius**2 + tau**2) / (radius**2 + t**2))
-    out = np.empty_like(pts)
-    out[:, 0] = sigma * pts[:, 0]
-    out[:, 1] = sigma * pts[:, 1]
-    out[:, 2] = tau
-    return out
+    return np.column_stack([sigma[:, None] * pts[:, :2], tau])
 
 
 def _time_grid(ctx: SpacetimeContext, figure: str, t_max: float, resolution: int):
@@ -156,14 +153,19 @@ def build_scene(
 
 def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureScene:
     r = ctx.radius
-    compactified = figure == "fig3"
     t_grid = _time_grid(ctx, figure, t_max, resolution)
     radii = np.sqrt(r**2 + t_grid**2)
     polylines: list[Polyline] = []
 
+    def place(pts):  # fig3 is compactified as it is built
+        return compactify(pts, r) if figure == "fig3" else pts
+
+    def draw(label, pts, closed=False):
+        polylines.append(Polyline(label, place(pts), closed))
+
     for phi in np.linspace(0.0, 2.0 * math.pi, _MERIDIANS, endpoint=False):
         pts = np.column_stack([radii * math.cos(phi), radii * math.sin(phi), t_grid])
-        polylines.append(Polyline("hyperboloid-meridian", pts))
+        draw("hyperboloid-meridian", pts)
 
     theta = np.linspace(0.0, 2.0 * math.pi, resolution + 1)[:-1]
     cos, sin = np.cos(theta), np.sin(theta)
@@ -172,35 +174,30 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
         return np.column_stack([radius * cos, radius * sin, np.full(resolution, t)])
 
     for i in np.linspace(0, resolution - 1, _PARALLELS).round().astype(int):
-        pts = ring(radii[i], t_grid[i])
-        polylines.append(Polyline("hyperboloid-parallel", pts, closed=True))
+        draw("hyperboloid-parallel", ring(radii[i], t_grid[i]), closed=True)
 
-    wl = canonical_worldline(ctx).sample(np.arcsinh(t_grid / r))
-    polylines.append(Polyline("worldline", wl))
+    observer = canonical_worldline(ctx)
+    draw("worldline", observer.sample(np.arcsinh(t_grid / r)))
 
     # The past horizon meets the throat at R (-a_2, a_1) and R (a_2, -a_1), a the
     # pole of throat_intersection; its rulings run from there along k+ = (a, 1).
     a = throat_intersection(ctx).plane_normal
     markers = r * np.array([[-a[1], a[0], 0.0], [a[1], -a[0], 0.0]])
     for w in markers:
-        polylines.append(Polyline("horizon-past", w + t_grid[:, None] * np.append(a, 1.0)))
+        draw("horizon-past", NullRay(Event(w, ctx), np.append(a, 1.0)).sample(t_grid))
 
-    polylines.append(Polyline("throat-circle", ring(r, 0.0), closed=True))
+    draw("throat-circle", ring(r, 0.0), closed=True)
 
     if figure == "cones":
+        # The throat event's two rulings, pushed forward by each boost.
         s = np.linspace(-t_max, t_max, 2 * resolution - 1)
+        rulings = [NullRay(observer.base, (0.0, sign, 1.0)).sample(s) for sign in (1.0, -1.0)]
         for psi in psi_values:
             b = boost(psi, ctx.n).matrix
-            for sign in (1.0, -1.0):
-                # Rulings of the throat-event cone, pushed forward by the boost.
-                base = np.column_stack([np.full_like(s, r), sign * s, s])
-                polylines.append(Polyline("cone-psi", base @ b.T))
+            for ruling in rulings:
+                draw("cone-psi", ruling @ b.T)
 
-    if compactified:
-        polylines = [Polyline(pl.label, compactify(pl.points, r), pl.closed) for pl in polylines]
-        markers = compactify(markers, r)
-
-    return FigureScene(tuple(polylines), markers, projection, compactified)
+    return FigureScene(tuple(polylines), place(markers), projection, figure == "fig3")
 
 
 def emit_csv(scene: FigureScene, path) -> None:
@@ -219,14 +216,8 @@ def emit_csv(scene: FigureScene, path) -> None:
 
 
 _SVG_STYLE = (
-    ".hyperboloid-meridian,.hyperboloid-parallel{stroke:#b8c0cc;stroke-width:0.35%;}"
-    ".worldline{stroke:#1f4e9c;stroke-width:0.7%;}"
-    ".horizon-past{stroke:#c22121;stroke-width:0.7%;}"
-    ".horizon-future{stroke:#c28a21;stroke-width:0.7%;}"
-    ".throat-circle{stroke:#2c8a4b;stroke-width:0.55%;}"
-    ".cone-psi{stroke:#7a4ec2;stroke-width:0.45%;}"
-    "path{fill:none;}"
-    f"circle.{MARKER_LABEL}{{fill:#c22121;stroke:none;}}"
+    "".join(",".join("." + label for label in group) + f"{{{css}}}" for group, css in _LABEL_STYLES)
+    + f"path{{fill:none;}}circle.{MARKER_LABEL}{{fill:#c22121;stroke:none;}}"
 )
 
 

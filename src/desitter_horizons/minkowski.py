@@ -155,8 +155,11 @@ class Isometry:
 
 
 def isometry_from_matrix(m: np.ndarray) -> Isometry:
-    """Wrap a matrix as an Isometry; its time behaviour is derived from it."""
-    return Isometry(matrix=np.asarray(m, dtype=float))
+    """Wrap a copy of a square matrix, at least 3 x 3, as an Isometry."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
+        raise ValueError(f"an isometry needs a square matrix of size >= 3, got shape {m.shape}")
+    return Isometry(matrix=m)
 
 
 def _cosh(psi):
@@ -195,12 +198,14 @@ def central_symmetry(n: int = 2) -> Isometry:
 
 
 def spatial_rotation(axes: tuple[int, int], angle: float, n: int = 2) -> Isometry:
-    """Plane rotation in two spatial coordinates (1-based indices in 1..n)."""
+    """Plane rotation by a finite angle in two spatial coordinates (1-based, in 1..n)."""
     i, j = axes
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"rotation axes must lie in 1..{n}, got {axes}")
     if i == j:
         raise ValueError("rotation axes must be distinct")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     m = np.eye(n + 1)
     c, s = math.cos(angle), math.sin(angle)
     a, b = i - 1, j - 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -326,6 +327,19 @@ class TestFrameReuse:
         assert not rows.flags.writeable
         assert repr(p) == text and hash(p) == key
         assert p == event(CTX, 1.0, 1.0, 1.0)
+        # On a grid of n, R and t_span: the rows are q/R with its t entry
+        # negated and orientation_field(q) with its spatial part negated, bit
+        # for bit, the closed form that can replace the cached frame.
+        rng = np.random.default_rng(41)
+        grid = itertools.product((2, 3, 4, 6), (1e-3, 1.0, 1e3), (3.0, 1e2, 1e4, 1e6))
+        for n, radius, t_span in grid:
+            ctx = SpacetimeContext(radius=radius, n=n)
+            for point in sample_hyperboloid(ctx, 100, rng, t_span=t_span):
+                q = Event(point=point, context=ctx)
+                first, last = q.point / radius, orientation_field(q)
+                first[-1], last[:-1] = -first[-1], -last[:-1]
+                expected = np.stack([first, last]).tobytes()
+                assert q._frame_rows.tobytes() == expected, (n, radius, t_span, point)
 
     def test_point_cannot_be_mutated_under_the_cached_rows(self):
         # A write into p.point would leave rows that answer for the old p.

@@ -167,6 +167,34 @@ class TestBuildScene:
         with pytest.raises(ValueError, match="k >= 1"):
             Polyline("worldline", np.empty((0, 3)))
 
+    def test_value_types_compare_by_identity(self):
+        from desitter_horizons.figures import FigureScene, Polyline
+
+        lines = [Polyline("worldline", np.zeros((2, 3))) for _ in range(2)]
+        scenes = [FigureScene(polylines=(lines[0],), markers=np.zeros((1, 3))) for _ in range(2)]
+        for a, b in (lines, scenes):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3,), (1, 3, 1)])
+    def test_scene_markers_must_be_rows_of_three(self, shape):
+        from desitter_horizons.figures import FigureScene
+
+        with pytest.raises(ValueError, match=r"markers must have shape \(k, 3\)"):
+            FigureScene(polylines=(), markers=np.zeros(shape))
+
+    def test_a_pole_off_the_unit_circle_is_refused_not_drawn(self, monkeypatch):
+        # Every ruling is certified: a pole that puts the markers off the
+        # hyperboloid, or k+ off the null cone, raises instead of drawing.
+        from types import SimpleNamespace
+
+        from desitter_horizons import figures
+
+        pole = SimpleNamespace(plane_normal=np.array([1.0 + 1e-6, 0.0]))
+        monkeypatch.setattr(figures, "throat_intersection", lambda ctx: pole)
+        with pytest.raises(ValueError, match="not on the hyperboloid"):
+            _scene()
+
     def test_scene_arrays_are_read_only_copies(self):
         # A later write into the caller's arrays must not reach the scene.
         from desitter_horizons.figures import FigureScene, Polyline

@@ -262,6 +262,24 @@ class TestSpatialRotation:
         with pytest.raises(ValueError):
             spatial_rotation(axes, 1.0, n=2)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match=f"rotation angle must be finite, got {angle}"):
+            spatial_rotation((1, 2), angle)
+
+
+class TestIsometryFromMatrix:
+    def test_owns_a_copy(self):
+        m = np.eye(3)
+        iso = isometry_from_matrix(m)
+        m[0, 0] = 5.0
+        np.testing.assert_array_equal(iso.matrix, np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (2, 2), (1, 1), (3,), (3, 3, 1)])
+    def test_needs_a_square_matrix_of_size_3_or_more(self, shape):
+        with pytest.raises(ValueError, match=r"square matrix of size >= 3"):
+            isometry_from_matrix(np.ones(shape))
+
 
 class TestVerifyIsometry:
     def test_identity(self):
