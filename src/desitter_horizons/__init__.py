@@ -47,7 +47,6 @@ from .minkowski import (
     central_symmetry,
     classify,
     inner,
-    isometry_from_matrix,
     metric,
     spatial_rotation,
     time_direction,

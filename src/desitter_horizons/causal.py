@@ -25,10 +25,9 @@ from .manifold import (
     _check_context,
     _check_span,
     _complement,
-    _read_only_copy,
     _sphere_points,
 )
-from .minkowski import _cosh, _form, _negligible, _norm
+from .minkowski import _cosh, _form, _negligible, _norm, _read_only_copy
 
 # Domain bound on witness rapidities: beyond |psi| ~ 60 the cone equation
 # saturates at double precision.

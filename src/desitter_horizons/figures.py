@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causal import throat_intersection
-from .manifold import Event, NullRay, SpacetimeContext, _read_only_copy, canonical_worldline
-from .minkowski import boost
+from .manifold import Event, NullRay, SpacetimeContext, canonical_worldline
+from .minkowski import _read_only_copy, boost
 
 # Each group of polyline labels with its SVG style, in the <style> order.
 _LABEL_STYLES = (

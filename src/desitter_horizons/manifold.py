@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -22,9 +21,11 @@ from .minkowski import (
     TimeDirection,
     _as_vector,
     _cosh,
+    _dimension,
     _form,
     _negligible,
     _norm,
+    _read_only_copy,
     _time_direction,
 )
 
@@ -46,12 +47,7 @@ class SpacetimeContext:
         r2 = float(r) * float(r)
         if not (sys.float_info.min <= r2 and 2.0 * r2 <= sys.float_info.max):
             raise ValueError(f"2 R^2 is not finite or R^2 is not normal for radius {r}")
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"spatial dimension must be an integer, got {self.n!r}") from None
-        if self.n < 2:
-            raise ValueError(f"spatial dimension must be >= 2, got {self.n}")
+        object.__setattr__(self, "n", _dimension(self.n))
         # At tol >= 1 membership accepts the origin, where orientation_field is 0/0.
         if not 0.0 <= self.tol < 1.0:
             raise ValueError(f"tol must be in [0, 1), got {self.tol}")
@@ -79,13 +75,6 @@ def _member(v: np.ndarray, ctx: SpacetimeContext) -> bool:
     # grows with |t|, so a point far off the surface at |t| >> R is refused.
     floor = (v.size + 1) * _GAMMA_PER_TERM * (space + time + r2)
     return abs(space - time - r2) <= max(ctx.tol * r2, floor) < math.inf
-
-
-def _read_only_copy(a) -> np.ndarray:
-    """A read-only float copy of an array-like, which nothing else holds."""
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def on_hyperboloid(v, ctx: SpacetimeContext) -> bool:
@@ -144,9 +133,7 @@ class Event:
         __dict__ outside the fields, so ==, hash and repr ignore them; `point`
         is read-only, so they cannot go stale."""
         frame = canonicalize(WorldLine._exact(self, orientation_field(self)))
-        rows = frame.inverse().matrix[[0, -1]]
-        rows.flags.writeable = False
-        return rows
+        return _read_only_copy(frame.inverse().matrix[[0, -1]])
 
     @property
     def spatial(self) -> np.ndarray:
@@ -216,8 +203,10 @@ def _sphere_points(
 
 
 def _check_span(ctx: SpacetimeContext, t_span: float) -> None:
-    """Raise ValueError unless events with |t| <= t_span R are representable:
-    Event's membership test sums |x|^2 + t^2 + R^2 = 2 (1 + t_span^2) R^2."""
+    """Raise ValueError unless t_span >= 0 and events with |t| <= t_span R are
+    representable: Event's membership test sums |x|^2 + t^2 + R^2 = 2 (1 + t_span^2) R^2."""
+    if t_span < 0.0:
+        raise ValueError(f"t_span must be >= 0, got {t_span}")
     r = ctx.radius
     t = t_span * r
     if not math.isfinite(2.0 * (r * r + t * t)):
@@ -265,7 +254,7 @@ class WorldLine:
     tangent: np.ndarray
 
     def __post_init__(self):
-        u = _as_vector(self.tangent).copy()
+        u = _read_only_copy(_as_vector(self.tangent))
         object.__setattr__(self, "tangent", u)
         _check_direction(self.base, u, -1.0, "tangent", "unit timelike")
         if _time_direction(u) is not TimeDirection.FUTURE:
@@ -273,8 +262,9 @@ class WorldLine:
 
     @classmethod
     def _exact(cls, base: Event, tangent: np.ndarray) -> "WorldLine":
-        """Wrap a fresh tangent that is future unit timelike and tangent at
-        `base` by construction; the WorldLine takes ownership of it."""
+        """Wrap a fresh tangent that is future unit timelike and tangent at `base`
+        by construction; the WorldLine takes it over and makes it read-only."""
+        tangent.setflags(write=False)
         line = object.__new__(cls)
         object.__setattr__(line, "base", base)
         object.__setattr__(line, "tangent", tangent)
@@ -363,7 +353,7 @@ class NullRay:
     direction: np.ndarray
 
     def __post_init__(self):
-        u = _as_vector(self.direction).copy()
+        u = _read_only_copy(_as_vector(self.direction))
         object.__setattr__(self, "direction", u)
         _check_direction(self.base, u, 0.0, "direction", "null")
         if not u.any():

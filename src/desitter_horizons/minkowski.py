@@ -8,6 +8,7 @@ Time orientation is fixed by the constant field (0, ..., 0, 1).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -45,11 +46,27 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
+def _read_only_copy(a) -> np.ndarray:
+    """A read-only float copy of an array-like, which nothing else holds."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _dimension(n) -> int:
+    """The spatial dimension n as an int; raises ValueError unless n >= 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"spatial dimension must be an integer, got {n!r}") from None
+    if n < 2:
+        raise ValueError(f"spatial dimension must be >= 2, got {n}")
+    return n
+
+
 def metric(n: int) -> np.ndarray:
     """The matrix diag(1, ..., 1, -1) with n spatial entries."""
-    g = np.eye(n + 1)
-    g[-1, -1] = -1.0
-    return g
+    return np.diag([1.0] * _dimension(n) + [-1.0])
 
 
 def _form(u: np.ndarray, v: np.ndarray) -> float:
@@ -120,9 +137,15 @@ def time_direction(v) -> TimeDirection:
 
 @dataclass(frozen=True)
 class Isometry:
-    """A linear map preserving the form."""
+    """A linear map preserving the form, held as a read-only copy of a square matrix."""
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        m = _read_only_copy(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
+            raise ValueError(f"an isometry needs a square matrix of size >= 3, got shape {m.shape}")
+        object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Isometry):
@@ -154,14 +177,6 @@ class Isometry:
         return Isometry(matrix=m)
 
 
-def isometry_from_matrix(m: np.ndarray) -> Isometry:
-    """Wrap a copy of a square matrix, at least 3 x 3, as an Isometry."""
-    m = np.array(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
-        raise ValueError(f"an isometry needs a square matrix of size >= 3, got shape {m.shape}")
-    return Isometry(matrix=m)
-
-
 def _cosh(psi):
     """cosh(psi): math.cosh of a float, np.cosh of an array. Raises ValueError,
     without a warning, unless every value is finite, and so psi too."""
@@ -183,7 +198,7 @@ def _cosh(psi):
 def boost(psi: float, n: int = 2) -> Isometry:
     """Hyperbolic rotation in the (x_1, t) plane with rapidity psi. Raises
     ValueError unless cosh(psi) is finite."""
-    m = np.eye(n + 1)
+    m = np.eye(_dimension(n) + 1)
     c, s = _cosh(psi), math.sinh(psi)
     m[0, 0] = c
     m[0, -1] = s
@@ -194,12 +209,16 @@ def boost(psi: float, n: int = 2) -> Isometry:
 
 def central_symmetry(n: int = 2) -> Isometry:
     """Point reflection through the origin; reverses the time direction."""
-    return Isometry(matrix=-np.eye(n + 1))
+    return Isometry(matrix=-np.eye(_dimension(n) + 1))
 
 
 def spatial_rotation(axes: tuple[int, int], angle: float, n: int = 2) -> Isometry:
     """Plane rotation by a finite angle in two spatial coordinates (1-based, in 1..n)."""
-    i, j = axes
+    n = _dimension(n)
+    try:
+        i, j = map(operator.index, axes)
+    except TypeError:
+        raise ValueError(f"rotation axes must be integers, got {axes}") from None
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"rotation axes must lie in 1..{n}, got {axes}")
     if i == j:

@@ -797,6 +797,13 @@ class TestRadiusRange:
             for p in pts:
                 Event(point=p, context=ctx)
 
+    def test_samplers_refuse_a_negative_span(self):
+        rng = np.random.default_rng(10)
+        for call in (sample_hyperboloid, sample_horizon):
+            with pytest.raises(ValueError, match=r"t_span must be >= 0, got -1"):
+                call(CTX, 2, rng, t_span=-1)
+        assert sample_hyperboloid(CTX, 2, rng, t_span=0)[:, -1].tolist() == [0.0, 0.0]
+
 
 class TestZeroTolerance:
     """tol = 0 means exact up to the rounding of the form: the frame route

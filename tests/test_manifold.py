@@ -269,6 +269,17 @@ class TestCanonicalWorldline:
         with pytest.raises(ValueError):
             WorldLine(base=event(CTX, 1, 0, 0), tangent=np.array([0.0, 0.0, -1.0]))
 
+    def test_tangent_is_a_read_only_copy(self):
+        # A writable tangent could be turned past-directed after the check.
+        u = np.array([0.0, 0.0, 1.0])
+        wl = WorldLine(base=event(CTX, 1, 0, 0), tangent=u)
+        u[:] = (0.0, 0.0, -1.0)
+        assert wl.tangent.tolist() == [0.0, 0.0, 1.0]
+        assert not np.shares_memory(wl.tangent, u)
+        for tangent in (wl.tangent, canonical_worldline(CTX).tangent):
+            with pytest.raises(ValueError):
+                tangent[0] = 7.0
+
     def test_tangent_held_to_context_tolerance(self):
         # <u, u> = -1 - 2e-8: inside tol = 1e-7, outside the default 1e-9.
         u = np.array([0.0, 0.0, 1.0 + 1e-8])
@@ -464,11 +475,14 @@ class TestNullRay:
         with pytest.raises(ValueError, match="null"):
             NullRay(base=event(CTX, 0, 1, 0), direction=np.array([5.0, 0.0, 0.0]))
 
-    def test_direction_is_copied(self):
+    def test_direction_is_a_read_only_copy(self):
         u = np.array([1.0, 0.0, 1.0])
         ray = NullRay(event(CTX, 0, 1, 0), u)
         u[:] = 5.0
         np.testing.assert_array_equal(ray.at(1.0), [1.0, 1.0, 1.0])
+        assert not np.shares_memory(ray.direction, u)
+        with pytest.raises(ValueError):
+            ray.direction[0] = 5.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension does not match"):

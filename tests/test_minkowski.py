@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from desitter_horizons.manifold import SpacetimeContext
 from desitter_horizons.minkowski import (
     CausalClass,
+    Isometry,
     TimeDirection,
     boost,
     central_symmetry,
     classify,
     inner,
-    isometry_from_matrix,
     metric,
     spatial_rotation,
     time_direction,
@@ -190,7 +191,7 @@ class TestBoostRapidity:
 class TestIsometryEquality:
     def test_exact_matrix_equality(self):
         assert boost(1.0) == boost(1.0)
-        assert central_symmetry(3) == isometry_from_matrix(-np.eye(4))
+        assert central_symmetry(3) == Isometry(-np.eye(4))
         assert boost(1.0) != boost(2.0)
         assert boost(1.0) != boost(1.0, n=3)
         assert boost(1.0) != "boost(1.0)"
@@ -222,7 +223,7 @@ class TestBoost:
 
     def test_preserves_time_flag(self):
         assert boost(3.0).preserves_time
-        assert isometry_from_matrix(boost(3.0).matrix).preserves_time
+        assert Isometry(boost(3.0).matrix).preserves_time
 
 
 class TestCentralSymmetry:
@@ -257,7 +258,7 @@ class TestSpatialRotation:
         inv = spatial_rotation((1, 3), -0.8, n=3)
         np.testing.assert_allclose(rot.compose(inv).matrix, np.eye(4), atol=1e-12)
 
-    @pytest.mark.parametrize("axes", [(0, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 3), (2, 2), (1.0, 2.0)])
     def test_invalid_axes(self, axes):
         with pytest.raises(ValueError):
             spatial_rotation(axes, 1.0, n=2)
@@ -268,17 +269,59 @@ class TestSpatialRotation:
             spatial_rotation((1, 2), angle)
 
 
-class TestIsometryFromMatrix:
-    def test_owns_a_copy(self):
+class TestIsometryConstructor:
+    def test_owns_a_read_only_copy(self):
+        # A later write into the caller's array must not reach the isometry.
         m = np.eye(3)
-        iso = isometry_from_matrix(m)
+        iso = Isometry(m)
         m[0, 0] = 5.0
         np.testing.assert_array_equal(iso.matrix, np.eye(3))
+        assert not np.shares_memory(iso.matrix, m)
+        with pytest.raises(ValueError):
+            iso.matrix[0, 0] = 5.0
+
+    def test_derived_isometries_are_read_only(self):
+        b = boost(1.0)
+        for iso in (b, b.inverse(), b.compose(b), central_symmetry(), spatial_rotation((1, 2), 0.3)):
+            with pytest.raises(ValueError):
+                iso.matrix[0, 0] = 5.0
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (2, 2), (1, 1), (3,), (3, 3, 1)])
     def test_needs_a_square_matrix_of_size_3_or_more(self, shape):
         with pytest.raises(ValueError, match=r"square matrix of size >= 3"):
-            isometry_from_matrix(np.ones(shape))
+            Isometry(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (1, "must be >= 2, got 1"),
+            (0, "must be >= 2, got 0"),
+            (-1, "must be >= 2, got -1"),
+            (2.5, "must be an integer, got 2.5"),
+        ],
+        ids=["1", "0", "-1", "2.5"],
+    )
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            metric,
+            lambda n: boost(0.3, n),
+            central_symmetry,
+            lambda n: spatial_rotation((1, 2), 0.1, n),
+        ],
+        ids=["metric", "boost", "central_symmetry", "spatial_rotation"],
+    )
+    def test_factories_take_the_context_dimension_rule(self, factory, n, message):
+        # The factories and SpacetimeContext refuse the same n, in the same words.
+        for call in (factory, lambda n: SpacetimeContext(n=n)):
+            with pytest.raises(ValueError, match=f"spatial dimension {message}$"):
+                call(n)
+
+    def test_factories_take_a_numpy_integer_dimension(self):
+        n = np.int64(3)
+        assert boost(0.3, n) == boost(0.3, 3)
+        assert spatial_rotation((np.int64(1), np.int64(3)), 0.1, n) == spatial_rotation((1, 3), 0.1, 3)
+        np.testing.assert_array_equal(metric(n), np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 class TestVerifyIsometry:
@@ -295,7 +338,7 @@ class TestVerifyIsometry:
         g = metric(2)
         expected = np.abs(m.T @ g @ m - g).max() / np.abs(m).max() ** 2
         assert expected >= 1e-4
-        assert verify_isometry(isometry_from_matrix(m)) == pytest.approx(expected)
+        assert verify_isometry(Isometry(m)) == pytest.approx(expected)
 
 
 class TestIsometryInvariance:

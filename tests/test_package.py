@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "compactify", "cone_at_L_psi", "emit_csv",
     "emit_svg", "event", "figures", "horizon_future", "horizon_limit_check",
     "horizon_past", "horizon_symmetry_check", "injectivity_check", "inner",
-    "isometry_from_matrix", "manifold", "metric", "minkowski",
+    "manifold", "metric", "minkowski",
     "nesting_check", "on_hyperboloid", "orientation_field",
     "quotient", "quotient_rep", "sample_causal_past_canonical",
     "sample_horizon", "sample_hyperboloid",
