@@ -71,6 +71,20 @@ class FigureScene:
 
     def __post_init__(self):
         object.__setattr__(self, "markers", _vertices("markers", self.markers, 0))
+        if np.shape(self.projection) != (2,) or not all(map(math.isfinite, self.projection)):
+            raise ValueError(f"projection must be finite numbers (ux1, vx1), got {self.projection}")
+        # Each polyline's screen coordinates, then the markers', kept read-only
+        # outside the fields; 2.2 x the largest bounds every SVG viewBox number.
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen = tuple(map(self.project, [pl.points for pl in self.polylines] + [self.markers]))
+            if not all(np.isfinite(2.2 * np.abs(uv).max(initial=0.0)) for uv in screen):
+                raise ValueError(
+                    "figure coordinates are not finite: the radius, t_max, "
+                    "rapidities or projection coefficients are out of range"
+                )
+        for uv in screen:
+            uv.setflags(write=False)
+        object.__setattr__(self, "_screen", screen)
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Cabinet projection to screen coordinates (u, v)."""
@@ -101,6 +115,8 @@ def _time_grid(ctx: SpacetimeContext, figure: str, t_max: float, resolution: int
     return np.linspace(0.0, t_max, resolution)
 
 
+# Overflow leaves inf or nan in the vertices, which FigureScene refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def build_scene(
     ctx: SpacetimeContext,
     figure: str,
@@ -113,9 +129,9 @@ def build_scene(
 
     figure: "fig2" (finite time), "fig3" (compactified), or "cones"
     ("fig2" plus light-cone curves for each rapidity in psi_list).
-    Raises ValueError unless projection is two numbers (ux1, vx1), for a
-    non-finite t_max, rapidity or projection coefficient, and when the
-    vertices or their projection are not finite.
+    Raises ValueError for a non-finite t_max or rapidity, and, from
+    FigureScene, unless projection is two finite numbers (ux1, vx1) and the
+    figure's screen coordinates are finite.
     """
     if ctx.n != 2:
         raise ValueError(
@@ -129,29 +145,12 @@ def build_scene(
     psi_values = DEFAULT_PSI_LIST if psi_list is None else tuple(psi_list)
     if figure == "cones" and not psi_values:
         raise ValueError("the cones figure needs at least one rapidity")
-    if np.shape(projection) != (2,):
-        raise ValueError(f"projection must be two coefficients (ux1, vx1), got {projection}")
-    checks = (("t_max", (t_max,)), ("rapidities", psi_values), ("projection", projection))
-    for name, values in checks:
+    for name, values in (("t_max", (t_max,)), ("rapidities", psi_values)):
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{name} must be finite, got {values}")
     if figure != "fig3" and not t_max > 0.0:
         raise ValueError("t_max must be positive")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        scene = _assemble(ctx, figure, t_max, resolution, psi_values, projection)
-        points = [pl.points for pl in scene.polylines] + [scene.markers]
-        # 2.2 x the largest screen coordinate bounds every SVG viewBox number.
-        finite = np.isfinite(2.2 * np.abs(scene.project(np.vstack(points))).max())
-    if not finite:
-        raise ValueError(
-            f"figure coordinates are not finite at radius {ctx.radius}: the radius, "
-            "t_max, rapidities or projection coefficients are out of range"
-        )
-    return scene
-
-
-def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureScene:
     r = ctx.radius
     t_grid = _time_grid(ctx, figure, t_max, resolution)
     radii = np.sqrt(r**2 + t_grid**2)
@@ -203,14 +202,12 @@ def _assemble(ctx, figure, t_max, resolution, psi_values, projection) -> FigureS
 def emit_csv(scene: FigureScene, path) -> None:
     """One row per vertex: label, polyline and vertex indices, coordinates,
     and projected screen coordinates. Header-only for an empty scene."""
-    blocks = [(pl.label, pl.points) for pl in scene.polylines]
-    if scene.markers.size:
-        blocks.append((MARKER_LABEL, scene.markers))
+    blocks = [(pl.label, pl.points) for pl in scene.polylines] + [(MARKER_LABEL, scene.markers)]
     with open(path, "w", newline="") as fh:
         fh.write("label,polyline,vertex,x1,x2,t,u,v\n")
         # One % template per polyline; '%.17g' % x equals format(x, '.17g').
-        for index, (label, pts) in enumerate(blocks):
-            rows = np.column_stack([np.arange(len(pts)), pts, scene.project(pts)])
+        for index, ((label, pts), uv) in enumerate(zip(blocks, scene._screen)):
+            rows = np.column_stack([np.arange(len(pts)), pts, uv])
             row = f"{label},{index},%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
             fh.write(row * len(pts) % tuple(rows.ravel().tolist()))
 
@@ -224,14 +221,10 @@ _SVG_STYLE = (
 def emit_svg(scene: FigureScene, path, annotate_throat: bool = False) -> None:
     """Deterministic SVG 1.1: one path per polyline, class = label; the
     throat-intersection events become marker circles."""
-    screen = [scene.project(pl.points) for pl in scene.polylines]
-    if scene.markers.size:
-        screen.append(scene.project(scene.markers))
-    for uv in screen:
-        # SVG y grows downward; flip the v axis.
-        uv[:, 1] = -uv[:, 1]
-    if screen:
-        stacked = np.vstack(screen)
+    # SVG y grows downward; flip the v axis.
+    screen = [uv * (1.0, -1.0) for uv in scene._screen]
+    stacked = np.vstack(screen)
+    if stacked.size:
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
         # Floor a degenerate span relative to the scene's own size, so tiny
@@ -241,8 +234,7 @@ def emit_svg(scene: FigureScene, path, annotate_throat: bool = False) -> None:
         lo = lo - 0.05 * span
         hi = hi + 0.05 * span
     else:
-        lo = np.array([0.0, 0.0])
-        hi = np.array([1.0, 1.0])
+        lo, hi = np.zeros(2), np.ones(2)
     w, h = hi - lo
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',

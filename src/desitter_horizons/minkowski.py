@@ -35,7 +35,8 @@ class TimeDirection(Enum):
     NONE = "none"
 
 
-def _as_vector(v) -> np.ndarray:
+def _as_vector(v, size: int | None = None) -> np.ndarray:
+    """v as a 1-d float array of n+1 >= 3 components, and of `size` if given."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
@@ -43,6 +44,8 @@ def _as_vector(v) -> np.ndarray:
         raise ValueError(
             f"vectors must have n+1 >= 3 components, got {arr.size}"
         )
+    if size is not None and arr.size != size:
+        raise ValueError(f"dimension mismatch: {size} vs {arr.size}")
     return arr
 
 
@@ -93,10 +96,7 @@ def _negligible(residual: float, magnitude: float, tol: float, terms: int) -> bo
 def inner(u, v) -> float:
     """Lorentz bilinear form of two vectors of equal dimension."""
     u = _as_vector(u)
-    v = _as_vector(v)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return _form(u, v)
+    return _form(u, _as_vector(v, u.size))
 
 
 def _classify(v: np.ndarray) -> CausalClass:
@@ -152,6 +152,10 @@ class Isometry:
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
 
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which == treats as equal.
+        return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
@@ -163,10 +167,12 @@ class Isometry:
         return bool(self.matrix[-1, -1] > 0.0)
 
     def apply(self, v) -> np.ndarray:
-        return self.matrix @ _as_vector(v)
+        return self.matrix @ _as_vector(v, self.n + 1)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: {self.n + 1} vs {other.n + 1}")
         return Isometry(matrix=self.matrix @ other.matrix)
 
     def inverse(self) -> "Isometry":

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,61 @@ class TestBuildScene:
         for a in (line.points, scene.markers, built.markers, built.polylines[0].points):
             with pytest.raises(ValueError):
                 a[0, 0] = 7.0
+
+
+class TestSceneProjection:
+    """FigureScene checks its projection and keeps each block's screen
+    coordinates, so every builder gets the check and no emitter projects."""
+
+    @pytest.mark.parametrize(
+        "polyline,markers,projection",
+        [
+            ([[math.inf, 0.0, 0.0]], [[1.0, 0.0, 0.0]], (0.35, 0.2)),
+            ([[1.0, 0.0, 0.0]], [[0.0, math.nan, 0.0]], (0.35, 0.2)),
+            ([[1e300, 0.0, 0.0]], np.empty((0, 3)), (1e10, 0.2)),
+        ],
+        ids=["inf-vertex", "nan-marker", "projection-overflow"],
+    )
+    def test_hand_built_scene_with_non_finite_coordinates(self, polyline, markers, projection):
+        from desitter_horizons.figures import FigureScene, Polyline
+
+        line = Polyline("worldline", np.array(polyline))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                FigureScene(polylines=(line,), markers=np.array(markers), projection=projection)
+
+    @pytest.mark.parametrize("projection", [(0.35,), (0.35, math.nan), (0.35, 0.2, 1.0)])
+    def test_hand_built_scene_needs_two_finite_coefficients(self, projection):
+        from desitter_horizons.figures import FigureScene
+
+        with pytest.raises(ValueError, match="projection"):
+            FigureScene(polylines=(), markers=np.empty((0, 3)), projection=projection)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "cones"])
+    def test_kept_screen_coordinates_are_the_projection(self, figure):
+        scene = _scene(figure)
+        blocks = [pl.points for pl in scene.polylines] + [scene.markers]
+        assert len(scene._screen) == len(blocks)
+        for pts, uv in zip(blocks, scene._screen):
+            expected = scene.project(pts)
+            assert uv.shape == expected.shape and uv.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                uv[0, 0] = 7.0
+
+    def test_each_block_is_projected_once(self, tmp_path, monkeypatch):
+        from desitter_horizons.figures import FigureScene
+
+        calls = []
+        project = FigureScene.project
+        monkeypatch.setattr(
+            FigureScene, "project", lambda self, pts: calls.append(len(pts)) or project(self, pts)
+        )
+        scene = _scene("cones")
+        emit_csv(scene, tmp_path / "cones.csv")
+        emit_svg(scene, tmp_path / "cones.svg")
+        blocks = [pl.points for pl in scene.polylines] + [scene.markers]
+        assert calls == [len(pts) for pts in blocks]
 
 
 class TestCompactify:

@@ -156,6 +156,18 @@ class TestPublicValidation:
         with pytest.raises(ValueError):
             inner((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: boost(1.0).apply((1.0, 0.0, 0.0, 0.0)),
+            lambda: boost(1.0).compose(boost(1.0, 3)),
+        ],
+        ids=["apply", "compose"],
+    )
+    def test_isometry_dimension_mismatch(self, call):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
+            call()
+
 
 class TestIsometryInverse:
     @pytest.mark.parametrize(
@@ -195,6 +207,14 @@ class TestIsometryEquality:
         assert boost(1.0) != boost(2.0)
         assert boost(1.0) != boost(1.0, n=3)
         assert boost(1.0) != "boost(1.0)"
+
+    def test_equal_isometries_hash_equal(self):
+        assert hash(boost(1.0)) == hash(boost(1.0))
+        assert len({boost(1.0), boost(1.0)}) == 1
+        # -0.0 == 0.0, so the two matrices are equal and must hash alike.
+        signed = [Isometry(np.diag([z, 1.0, 1.0])) for z in (-0.0, 0.0)]
+        assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+        assert len({boost(1.0), boost(1.0, n=3), central_symmetry()}) == 3
 
 
 class TestBoost:
